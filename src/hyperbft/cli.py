@@ -87,7 +87,8 @@ def main() -> None:
     type=click.Choice(["lcr", "ab", "auto"]),
     default="auto",
     show_default=True,
-    help="Condition form; the two are equivalent, auto picks the cheaper one.",
+    help="Condition form; the two are equivalent. auto runs the LCR form; "
+    "ab is the slower reference form.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit the machine-readable report.")
 def check(path: str, f: int, condition: str, as_json: bool) -> None:
@@ -96,7 +97,10 @@ def check(path: str, f: int, condition: str, as_json: bool) -> None:
         _error("--f must be non-negative")
     g = _read_topology(path)
     checker = check_ab_hyper if condition == "ab" else check_lcr_hyper
-    report = checker(g, f)
+    try:
+        report = checker(g, f)
+    except ValueError as exc:
+        _error(str(exc))
     if as_json:
         click.echo(canonical_json(report), nl=False)
     else:

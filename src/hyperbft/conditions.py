@@ -10,11 +10,12 @@ split of every subset of F, and every partition of the split graph's nodes:
   removed, or symmetrically with A and B swapped.
 
 The production scan works on bitmasks and skips copy-swapped duplicate splits
-(the predicates are invariant under relabeling a node's two copies); when a
-violation exists, the full split family is rescanned in canonical order so
-the reported witness is the definitional first one.  Reported witnesses are
-always re-verified against the raw set-level definitions before being
-returned.
+(the predicates are invariant under relabeling a node's two copies); the
+three-part condition is decided with numpy over batches of split graphs.
+When a violation exists, the full split family is rescanned in canonical
+order so the reported witness is the definitional first one.  Reported
+witnesses are always re-verified against the raw set-level definitions
+before being returned.
 """
 
 from __future__ import annotations
@@ -23,12 +24,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .hypergraph import DirectedHypergraph
 from .paths import count_disjoint_paths, max_disjoint_paths_bits, reach_closure_bits
 from .splitting import SplitHypergraph, enumerate_lambda, lambda_cardinality, split
 
 LCR = "lcr-hyper"
 AB = "ab-hyper"
+
+# Largest split graph the LCR detector accepts.  Its tables take 8 bytes per
+# subset of the m nodes, so the peak allocation at m = 26 is 512 MiB and
+# doubles with every further node.
+MAX_LCR_NODES = 26
+# Detector cells (rows x 2^m) per batch of split graphs.
+_BATCH_CELLS = 1 << 16
+# Out-masks are int64.
+_MASK_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -101,49 +113,42 @@ def propagates(
 
 
 # ---------------------------------------------------------------------------
-# per-split-graph violation detectors (bitmask level)
+# violation detectors (bitmask level)
 
 
-def _lcr_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool:
-    """Existence of a violating (L, C, R) partition of this split graph.
+def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> bool:
+    """Whether some split graph of a batch has a violating (L, C, R) partition.
 
-    Both failing clauses reduce to the one-argument predicate
+    ``out_bits`` holds one row of m out-masks per split graph (shape (B, m));
+    the rows share m and the fault-copy mask ``fprime``.  Both failing
+    clauses reduce to the one-argument predicate
     bad(P) := not adjacent(V' - P, P - F'), so a violation is exactly a
-    disjoint pair of non-empty bad sets (L, R; C is whatever remains)."""
-    full = (1 << m) - 1
-    bad = bytearray(1 << m)
-    any_bad = False
-    for p in range(1, full + 1):
-        t = p & ~fprime
-        if not t:
-            continue
-        count = 0
-        rest = full & ~p
-        ok = False
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if out_bits[low.bit_length() - 1] & t:
-                count += 1
-                if count > f:
-                    ok = True
-                    break
-        if not ok:
-            bad[p] = 1
-            any_bad = True
-    if not any_bad:
-        return False
-    # dp[mask] := some bad set is a subset of mask
-    dp = bytearray(bad)
+    disjoint pair of non-empty bad sets (L, R; C is whatever remains): some
+    bad X whose complement contains a bad set.
+    """
+    if m > MAX_LCR_NODES:
+        raise ValueError(
+            f"split graph has {m} nodes; the LCR detector handles at most "
+            f"{MAX_LCR_NODES} (its tables grow as 2^m)"
+        )
+    outs = np.asarray(out_bits, dtype=np.uint32)
+    rows = len(outs)
+    size = 1 << m
+    # targets[P] = P - F'; heads[b, P] = number of heads of V' - P into it
+    targets = np.arange(size, dtype=np.uint32) & np.uint32(~fprime & (size - 1))
+    heads = np.zeros((rows, size), dtype=np.uint8)
+    for u in range(m):
+        # the sets P without u, where u is a candidate head
+        without_u = heads.reshape(rows, -1, 2, 1 << u)[:, :, 0, :]
+        without_u += (outs[:, u, None, None] & targets.reshape(-1, 2, 1 << u)[:, 0, :]) != 0
+    bad = (heads <= min(f, m)) & (targets != 0)
+    # covered[P]: some bad set is a subset of P (subset-sum transform, one bit at a time)
+    covered = bad.copy()
     for i in range(m):
-        b = 1 << i
-        for mask in range(1 << m):
-            if mask & b and dp[mask ^ b]:
-                dp[mask] = 1
-    for x in range(1, full + 1):
-        if bad[x] and dp[full & ~x]:
-            return True
-    return False
+        halves = covered.reshape(rows, -1, 2, 1 << i)
+        halves[:, :, 1, :] |= halves[:, :, 0, :]
+    # covered[:, ::-1][X] is covered[full ^ X]
+    return bool((bad & covered[:, ::-1]).any())
 
 
 def _ab_clause_fails(out_bits: list[int], m: int, fprime: int, f: int, a_mask: int) -> bool:
@@ -188,8 +193,14 @@ def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool
 
 
 def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
-    """Yield (out_bits, m, fprime_mask) for one representative of every
-    copy-swap class of the split family of ``fault_set``.
+    """Yield (out_bits, m, fprime_mask) batches that together hold one
+    representative of every copy-swap class of the split family of
+    ``fault_set``.
+
+    ``out_bits`` is a (B, m) int64 array, one row of out-masks per split
+    graph.  The rows of a batch share the split set X, hence m and fprime,
+    and fill at most ``_BATCH_CELLS`` cells of the detector's tables (always
+    at least one row).
 
     Bit layout: base node bits double as copy-0 bits for split nodes; one
     extra bit per split node represents copy 1.  The violation predicates are
@@ -208,6 +219,8 @@ def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
         xset = frozenset(x)
         extra_bit = {v: n0 + j for j, v in enumerate(x)}
         m = n0 + len(x)
+        if m > _MASK_BITS:
+            raise ValueError(f"split graph has {m} nodes; out-masks hold at most {_MASK_BITS}")
 
         def lift(eid: int, tails: frozenset[int]) -> int:
             t = edge_tail_mask[eid]
@@ -221,25 +234,27 @@ def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
             if e.head not in xset:
                 static[bit[e.head]] |= lift(e.id, e.tails)
 
-        slots = []  # (copy0 bit, copy1 bit, lifted tail mask) per split-headed edge
-        first_slot_mask = 0
+        slots = []  # (copy0 bit, copy1 bit, lifted tail mask) per free split-headed edge
         seen_heads: set[int] = set()
         for eid in sorted(e.id for v in x for e in g.head_edges(v)):
             e = g.edge_by_id[eid]
-            j = len(slots)
-            slots.append((bit[e.head], extra_bit[e.head], lift(eid, e.tails)))
-            if e.head not in seen_heads:
+            if e.head in seen_heads:
+                slots.append((bit[e.head], extra_bit[e.head], lift(eid, e.tails)))
+            else:
                 seen_heads.add(e.head)
-                first_slot_mask |= 1 << j
+                static[bit[e.head]] |= lift(eid, e.tails)
         fprime = fmask_base | sum(1 << extra_bit[v] for v in x)
 
-        for counter in range(1 << len(slots)):
-            if counter & first_slot_mask:
-                continue
-            out = static.copy()
+        total = 1 << len(slots)
+        step = max(1, _BATCH_CELLS >> m)
+        for lo in range(0, total, step):
+            counters = np.arange(lo, min(lo + step, total), dtype=np.int64)
+            outs = np.tile(np.array(static, dtype=np.int64), (len(counters), 1))
             for j, (b0, b1, tm) in enumerate(slots):
-                out[b1 if counter >> j & 1 else b0] |= tm
-            yield out, m, fprime
+                on_copy1 = (counters >> j & 1).astype(bool)
+                outs[:, b0] |= np.where(on_copy1, 0, tm)
+                outs[:, b1] |= np.where(on_copy1, tm, 0)
+            yield outs, m, fprime
 
 
 def _split_graph_bits(sh: SplitHypergraph) -> tuple[list[int], int, int]:
@@ -340,12 +355,43 @@ def _partitions_in_family(g: DirectedHypergraph, fault_set: frozenset[int], base
     return total
 
 
+def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> bool:
+    """The reference AB detector over a batch, one split graph at a time."""
+    return any(_ab_split_violated(row, m, fprime, f) for row in np.asarray(out_bits).tolist())
+
+
 def _detector(condition: str):
     if condition == LCR:
         return _lcr_split_violated
     if condition == AB:
-        return _ab_split_violated
+        return _ab_batch_violated
     raise ValueError(f"unknown condition {condition!r}")
+
+
+def _fault_set_violated(g: DirectedHypergraph, fset: frozenset[int], f: int, detect) -> bool:
+    return any(detect(outs, m, fprime, f) for outs, m, fprime in _light_splits(g, fset))
+
+
+def _first_violation(
+    g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str
+) -> tuple[int, int, Violation]:
+    """Canonical rescan of a violated fault set: the first violating split
+    graph in ``enumerate_lambda`` order and its first violating partition.
+
+    Returns (split index, partition index counted across the family, violation).
+    """
+    detect = _detector(condition)
+    base = _partition_base(condition)
+    canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
+    skipped = 0
+    for idx, sh in enumerate(enumerate_lambda(g, fset)):
+        out, m, fprime = _split_graph_bits(sh)
+        if not detect([out], m, fprime, f):
+            skipped += base ** m
+            continue
+        pidx, part = canonical(sh, f)
+        return idx, skipped + pidx, Violation(fset, sh, part)
+    raise AssertionError("violation vanished during canonical rescan")
 
 
 def check_with_fault_set(
@@ -361,25 +407,11 @@ def check_with_fault_set(
     witness rescan is skipped and only the verdict is computed.
     """
     fset = frozenset(fault_set)
-    detect = _detector(condition)
-    found = False
-    for out, m, fprime in _light_splits(g, fset):
-        if detect(out, m, fprime, f):
-            found = True
-            break
-    if not found:
+    if not _fault_set_violated(g, fset, f, _detector(condition)):
         return True, None
     if not want_witness:
         return False, None
-    for sh in enumerate_lambda(g, fset):
-        out, m, fprime = _split_graph_bits(sh)
-        if detect(out, m, fprime, f):
-            if condition == LCR:
-                _, part = _canonical_lcr_partition(sh, f)
-            else:
-                _, part = _canonical_ab_partition(sh, f)
-            return False, Violation(fset, sh, part)
-    raise AssertionError("violation vanished during canonical rescan")
+    return False, _first_violation(g, fset, f, condition)[2]
 
 
 def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
@@ -390,34 +422,18 @@ def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
     partitions_total = 0
     for fset in subsets_by_cardinality(g.nodes, f):
         fault_sets += 1
-        found = False
-        for out, m, fprime in _light_splits(g, fset):
-            if detect(out, m, fprime, f):
-                found = True
-                break
-        if not found:
+        if not _fault_set_violated(g, fset, f, detect):
             splits_total += lambda_cardinality(g, fset)
             partitions_total += _partitions_in_family(g, fset, base)
             continue
-        # canonical rescan for the definitional first witness
-        for idx, sh in enumerate(enumerate_lambda(g, fset)):
-            out, m, fprime = _split_graph_bits(sh)
-            if not detect(out, m, fprime, f):
-                partitions_total += base ** m
-                continue
-            if condition == LCR:
-                pidx, part = _canonical_lcr_partition(sh, f)
-            else:
-                pidx, part = _canonical_ab_partition(sh, f)
-            violation = Violation(fset, sh, part)
-            if not verify_witness(g, f, violation):
-                raise AssertionError("witness failed raw re-verification")
-            return ConditionReport(
-                condition, f, False,
-                fault_sets, splits_total + idx + 1, partitions_total + pidx + 1,
-                violation,
-            )
-        raise AssertionError("violation vanished during canonical rescan")
+        idx, pidx, violation = _first_violation(g, fset, f, condition)
+        if not verify_witness(g, f, violation):
+            raise AssertionError("witness failed raw re-verification")
+        return ConditionReport(
+            condition, f, False,
+            fault_sets, splits_total + idx + 1, partitions_total + pidx + 1,
+            violation,
+        )
     return ConditionReport(condition, f, True, fault_sets, splits_total, partitions_total, None)
 
 

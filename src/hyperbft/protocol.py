@@ -29,6 +29,7 @@ phase transitions are memoized on the full state vector.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -706,13 +707,14 @@ class Engine:
 
         outputs = {v: gamma[v] for v in honest}
         out_vals = set(outputs.values())
+        fault_set_count = sum(math.comb(self.g.n, k) for k in range(min(self.f, self.g.n) + 1))
         result = RunResult(
             f=self.f,
             faulty=tuple(sorted(fstar)),
             adversary=adv.name,
             inputs=tuple(sorted(inputs.items())),
             outputs=tuple(sorted(outputs.items())),
-            terminated=True,
+            terminated=len(phases) == fault_set_count and out_vals <= {0, 1},
             agreement=len(out_vals) <= 1,
             validity=out_vals <= start_states,
             phase_validity_ok=validity_ok,

@@ -71,7 +71,7 @@ def check_lcr_p2p(g: DirectedHypergraph, f: int) -> ReducedReport:
         fault_sets += 1
         fmask = g.mask_of(fset)
         out = _p2p_masks(g, fmask)
-        if not _lcr_split_violated(out, m, fmask, f):
+        if not _lcr_split_violated([out], m, fmask, f):
             partitions += 3 ** (m - len(fset))
             continue
         u_nodes = [v for v in g.node_order if v not in fset]
@@ -93,7 +93,7 @@ def check_lcr_local(g: DirectedHypergraph, f: int) -> ReducedReport:
         fault_sets += 1
         fmask = g.mask_of(fset)
         out = list(g.out_union_masks)
-        if not _lcr_split_violated(out, m, fmask, f):
+        if not _lcr_split_violated([out], m, fmask, f):
             partitions += 3 ** m
             continue
         pidx, part = _first_lcr_partition(g, list(g.node_order), fset, f, targets_minus_f=True)

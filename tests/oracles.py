@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles with plain sets and
 exhaustive search, deliberately avoiding the bitmask, max-flow, and pruning
 machinery under test.  Keep inputs tiny (n <= 6 for paths, n <= 4 for the
-condition replays); the point is trust, not speed.
+condition replays); the point is trust, not speed.  The one bitmask routine,
+``lcr_split_violated_loop``, is the plain-loop form of the vectorised LCR
+detector and serves as its reference.
 """
 
 from __future__ import annotations
@@ -150,3 +152,46 @@ def simple_ab_check(g: DirectedHypergraph, f: int) -> bool:
                 if not forward and not backward:
                     return False
     return True
+
+
+def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) -> bool:
+    """Existence of a violating (L, C, R) partition of one split graph, by
+    plain loops over the 2^m node sets.
+
+    Both failing clauses reduce to the one-argument predicate
+    bad(P) := not adjacent(V' - P, P - F'), so a violation is exactly a
+    disjoint pair of non-empty bad sets (L, R; C is whatever remains)."""
+    full = (1 << m) - 1
+    bad = bytearray(1 << m)
+    any_bad = False
+    for p in range(1, full + 1):
+        t = p & ~fprime
+        if not t:
+            continue
+        count = 0
+        rest = full & ~p
+        ok = False
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if out_bits[low.bit_length() - 1] & t:
+                count += 1
+                if count > f:
+                    ok = True
+                    break
+        if not ok:
+            bad[p] = 1
+            any_bad = True
+    if not any_bad:
+        return False
+    # dp[mask] := some bad set is a subset of mask
+    dp = bytearray(bad)
+    for i in range(m):
+        b = 1 << i
+        for mask in range(1 << m):
+            if mask & b and dp[mask ^ b]:
+                dp[mask] = 1
+    for x in range(1, full + 1):
+        if bad[x] and dp[full & ~x]:
+            return True
+    return False

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from hyperbft.cli import main
 from hyperbft.formats import parse_topology, scenario_to_json, serialize_topology
-from hyperbft.generators import complete_p2p
+from hyperbft.generators import complete_p2p, cycle_local_broadcast
 
 
 @pytest.fixture
@@ -173,3 +173,10 @@ def test_cli_reports_are_reproducible(runner, tmp_path) -> None:
     a = invoke(runner, "check", path, "--f", "1", "--json")
     b = invoke(runner, "check", path, "--f", "1", "--json")
     assert a.output == b.output
+
+
+def test_check_oversized_split_graph_exits_one(runner, tmp_path) -> None:
+    ring = write_fixture(tmp_path, "ring30.hg", serialize_topology(cycle_local_broadcast(30)))
+    res = invoke(runner, "check", ring, "--f", "0")
+    assert res.exit_code == 1
+    assert "split graph has 30 nodes" in res.output

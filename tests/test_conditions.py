@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperbft.conditions import (
     AB,
     LCR,
+    MAX_LCR_NODES,
+    _lcr_split_violated,
     check_ab_hyper,
     check_lcr_hyper,
     check_with_fault_set,
@@ -21,7 +27,7 @@ from hyperbft.generators import (
 )
 from hyperbft.hypergraph import DirectedHypergraph
 
-from oracles import simple_ab_check, simple_lcr_check
+from oracles import lcr_split_violated_loop, simple_ab_check, simple_lcr_check
 
 
 def small_graphs(max_n: int = 4, max_m: int = 8):
@@ -132,3 +138,48 @@ def test_monotone_in_fault_budget() -> None:
         g = complete_p2p(n)
         feasible = [check_lcr_hyper(g, f).holds for f in (0, 1, 2)]
         assert feasible == sorted(feasible, reverse=True)
+
+
+@st.composite
+def detector_batches(draw):
+    """(rows, m, fprime, f): 1-40 random out-mask rows over m = 1..10 nodes.
+    Each row keeps every arc with its own probability, so one batch mixes
+    sparse rows (often violating) with dense ones (rarely violating) and both
+    verdicts occur, for whole batches and for single rows."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    f = draw(st.integers(min_value=0, max_value=2))
+    fprime = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+    batch = draw(st.integers(min_value=1, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows = []
+    for _ in range(batch):
+        density = rng.choice((0.1, 0.25, 0.5, 0.9, 1.0))
+        rows.append(
+            [sum(1 << v for v in range(m) if v != u and rng.random() < density) for u in range(m)]
+        )
+    return rows, m, fprime, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(detector_batches())
+def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
+    rows, m, fprime, f = case
+    expected = [lcr_split_violated_loop(row, m, fprime, f) for row in rows]
+    assert _lcr_split_violated(rows, m, fprime, f) == any(expected)
+    for row, want in zip(rows, expected):
+        assert _lcr_split_violated([row], m, fprime, f) == want
+
+
+def test_oversized_split_graph_is_refused_before_allocating() -> None:
+    assert MAX_LCR_NODES < 30
+    g = cycle_local_broadcast(30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="split graph has 30 nodes"):
+            check_lcr_hyper(g, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="out-masks hold at most 62"):
+        check_ab_hyper(cycle_local_broadcast(63), 0)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,3 +171,23 @@ def test_validity_outputs_come_from_honest_inputs(seed: int, data) -> None:
     assert res.terminated
     assert {b for _, b in res.outputs} <= honest_inputs
     assert res.agreement
+
+
+def test_terminated_is_derived_from_the_run() -> None:
+    g = complete_p2p(4)
+    inputs = {0: 0, 1: 1, 2: 1, 3: 0}
+    engine = Engine(g, 1)
+    assert engine.run([], inputs).terminated
+    assert not engine.run([], {v: 2 for v in range(4)}).terminated  # no 0/1 output
+    engine.phases = engine.phases[:-1]  # the last fault set's phase never runs
+    assert not engine.run([], inputs).terminated
+
+
+def test_readme_adversary_names_are_accepted() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Adversary library:"):].split("\n\n")[0]
+    listed = re.findall(r"`([a-z_0-9-]+)`", paragraph)
+    assert listed
+    for name in listed:
+        assert name in ADVERSARY_NAMES, name
+        make_adversary(name)
