@@ -1,12 +1,17 @@
-"""Golden report bytes: the checkers' canonical JSON must not drift.
+"""Golden bytes: the checkers' canonical JSON and the necessity harness's
+reception logs must not drift.
 
 The files under ``tests/golden/`` were written by the pure-Python detector;
 any rewrite of the detector or of the split enumeration has to reproduce
 them byte for byte (verdict, witness, and every ``*_checked`` counter).
+The reception-log digests were taken from the log builder that rendered
+each log with ``canonical_json``; a rewrite of the log builder has to
+reproduce every log byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -15,8 +20,11 @@ from click.testing import CliRunner
 from hyperbft.cli import main
 from hyperbft.conditions import check_ab_hyper, check_lcr_hyper
 from hyperbft.formats import canonical_json, parse_topology, serialize_topology
-from hyperbft.generators import complete_p2p, path_local_broadcast
+from hyperbft.generators import complete_p2p, path_local_broadcast, sample_condition_violating
+from hyperbft.necessity import build_necessity_executions
 from hyperbft.reductions import check_lcr_local, check_lcr_p2p, cross_validate_reduction
+
+SEED = 20260817
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,3 +76,41 @@ def test_readme_k4_check_output(tmp_path) -> None:
         "split graphs checked: 37\n"
         "partitions checked: 8181\n"
     )
+
+
+def _necessity_cases():
+    yield "complete3", complete_p2p(3), 1, None
+    # the criterion-6 corpus
+    for i, (g, rep) in enumerate(sample_condition_violating(5, 4, 1, seed=SEED)):
+        yield f"violating4_f1_{i}", g, 1, rep.violation
+    # n=7, f=2: 3,306 carrier trails
+    g, rep = sample_condition_violating(4, 7, 2, seed=SEED)[0]
+    yield "violating7_f2_0", g, 2, rep.violation
+
+
+# sha256 over every execution's outputs and every honest node's log
+LOG_DIGESTS = {
+    "complete3": "1db8da07793c72f805a84bade96aff9899be2dbd509fff11a7bc24247251ed30",
+    "violating4_f1_0": "13de00d07f5cc3d6b2e4366631d432a5d2b31d8e110c85c3f23f92acff7cc784",
+    "violating4_f1_1": "c2c1e312032a9db8ac6b1e36056bccfdc47117ca90e24db479fe04f24fe84e71",
+    "violating4_f1_2": "33274c03a131d07ab0891891f0a43b57637f24316d7252b93aa578f54728fa18",
+    "violating4_f1_3": "51fe0ce4be3cfd004b60df93df32d197f30968a7e534179c0cfa9e2c32259d77",
+    "violating4_f1_4": "309bc20a8af87ce4d83d63bb918e4473029b28f40610a8853a5bccac7282a602",
+    "violating7_f2_0": "3cb3a6245ff448f744d8fc8ecc530eb29e736568be36ddd09c2138564edc8adb",
+}
+
+
+def _log_digest(rep) -> str:
+    h = hashlib.sha256()
+    for e in rep.executions:
+        h.update(repr((e.execution, e.outputs)).encode())
+        for v in sorted(e.logs):
+            h.update(b"%d %d\n" % (v, len(e.logs[v])))
+            h.update(e.logs[v])
+    return h.hexdigest()
+
+
+def test_reception_logs_match_golden() -> None:
+    got = {name: _log_digest(build_necessity_executions(g, f, v))
+           for name, g, f, v in _necessity_cases()}
+    assert got == LOG_DIGESTS
