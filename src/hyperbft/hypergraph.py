@@ -59,38 +59,6 @@ class SimpleDigraph:
         return tuple(sorted(self.nodes))
 
     @cached_property
-    def out_sets(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for (u, v) in self.arcs:
-            out[u].add(v)
-        return {v: frozenset(s) for v, s in out.items()}
-
-    @cached_property
-    def in_sets(self) -> dict[int, frozenset[int]]:
-        inc: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for (u, v) in self.arcs:
-            inc[v].add(u)
-        return {v: frozenset(s) for v, s in inc.items()}
-
-    def in_neighborhood(self, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
-        """Nodes of ``a`` that have at least one out-arc into ``b``."""
-        bset = frozenset(b)
-        return frozenset(u for u in a if self.out_sets[u] & bset)
-
-    def adjacent(self, a: Iterable[int], b: Iterable[int], f: int) -> bool:
-        """True if ``b`` is empty or at least f+1 nodes of ``a`` reach into ``b``."""
-        bset = frozenset(b)
-        if not bset:
-            return True
-        count = 0
-        for u in a:
-            if self.out_sets[u] & bset:
-                count += 1
-                if count >= f + 1:
-                    return True
-        return False
-
-    @cached_property
     def is_symmetric(self) -> bool:
         return all((v, u) in self.arcs for (u, v) in self.arcs)
 
@@ -102,9 +70,6 @@ class SimpleDigraph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(s) for v, s in adj.items()}
-
-    def undirected_degree(self, v: int) -> int:
-        return len(self.undirected_adjacency[v])
 
     @cached_property
     def is_complete_undirected(self) -> bool:

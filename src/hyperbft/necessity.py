@@ -20,6 +20,15 @@ they output as in E1 (all zeros, by validity); honest R-side nodes mirror E2
 Carrier copies run the real consensus algorithm for the base graph; the
 carrier's channels keep the base channel ids, so a copy's reception log reads
 exactly like a log of the node it impersonates.
+
+A reception log holds one entry per record the node received with a value,
+in each phase's two floods: ``"trace"`` (step (b), the traced flood from
+S u N(F, S)) and ``"relay"`` (step (e), S's updated states).  An entry is
+``[phase fault set, "trace"|"relay", origin, base channel trail, value]``:
+the phase's sorted fault set, the base node that started the record, the
+base channel ids it travelled, and the value it arrived with.  The log's
+bytes are ``canonical_json`` of the sorted entries (JSON, indent 2, one
+trailing newline); ``_run_carrier`` renders that text directly.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import Violation, check_lcr_hyper
-from .formats import canonical_json
 from .hypergraph import DirectedHypergraph
 from .protocol import ABSENT, TrailUniverse, flood_records, get_engine
 from .splitting import SplitHypergraph
@@ -262,6 +270,13 @@ def build_carrier(g: DirectedHypergraph, f: int, violation: Violation) -> Carrie
 # carrier execution: every copy runs the base-graph protocol honestly
 
 
+def _int_list(xs) -> str:
+    """A list of ints as ``canonical_json`` renders it inside a log entry."""
+    if not xs:
+        return "[]"
+    return "[\n" + ",\n".join(f"      {x}" for x in xs) + "\n    ]"
+
+
 def _run_carrier(carrier: Carrier):
     g = carrier.base
     engine = get_engine(g, carrier.f)
@@ -270,17 +285,11 @@ def _run_carrier(carrier: Carrier):
     tu_c = TrailUniverse(carrier.graph, groups=groups)
 
     # map every carrier record to the base record its receiver reads
+    base_edge = carrier.base_edge
+    copy_base = [c.base_node for c in carrier.copies]
     gtid = np.empty(tu_c.size, dtype=np.int64)
-    for t in range(tu_c.size):
-        # walk the trail back to collect base channel ids
-        ids = []
-        cur = t
-        while cur >= 0:
-            ids.append(carrier.base_edge[int(tu_c.edge[cur])])
-            cur = int(tu_c.parent[cur])
-        ids.reverse()
-        origin_base = carrier.copies[int(tu_c.origin[t])].base_node
-        base_tid = tu_g.tid(origin_base, tuple(ids))
+    for t, (o, trail) in enumerate(zip(tu_c.origin.tolist(), tu_c.trail_of)):
+        base_tid = tu_g.tid(copy_base[o], tuple(base_edge[e] for e in trail))
         if base_tid is None:
             raise AssertionError("carrier record does not collapse to a base record")
         gtid[t] = base_tid
@@ -300,25 +309,41 @@ def _run_carrier(carrier: Carrier):
         vec[base_ids] = vals[tids]
         return vec
 
-    n_copies = len(carrier.copies)
-    gamma = [c.input for c in carrier.copies]
-    logs: dict[int, list] = {c.id: [] for c in carrier.copies}
-
-    def record_log(cid: int, phase_tag, flood_tag: str, vals: np.ndarray) -> None:
+    # Reception logs, kept only for copies that serve an execution.  An
+    # entry's origin and trail are those of the base record it collapses to,
+    # so each base record's text and sort key are computed once, and each
+    # copy's records are put in (origin, trail) order once.
+    serving = [c.id for c in carrier.copies if c.serves]
+    origin_g = tu_g.origin.tolist()
+    used = sorted(
+        set(np.concatenate([scatter[cid][1] for cid in serving]).tolist()),
+        key=lambda b: (origin_g[b], tu_g.trail_of[b]),
+    )
+    rank = np.zeros(tu_g.size, dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    record_text = {
+        b: f"{origin_g[b]},\n    {_int_list(tu_g.trail_of[b])},\n    " for b in used
+    }
+    log_order: dict[int, tuple[np.ndarray, list[str]]] = {}
+    for cid in serving:
         tids, base_ids = scatter[cid]
-        for t, bt in zip(tids.tolist(), base_ids.tolist()):
-            v = int(vals[t])
-            if v == ABSENT:
-                continue
-            origin = carrier.copies[int(tu_c.origin[t])].base_node
-            trail = []
-            cur = t
-            while cur >= 0:
-                trail.append(carrier.base_edge[int(tu_c.edge[cur])])
-                cur = int(tu_c.parent[cur])
-            trail.reverse()
-            logs[cid].append([list(phase_tag), flood_tag, origin, trail, v])
+        order = np.argsort(rank[base_ids])
+        log_order[cid] = (tids[order], [record_text[b] for b in base_ids[order].tolist()])
+    # per copy: (phase fault set, flood tag, rendered entries of that flood)
+    chunks: dict[int, list[tuple[tuple[int, ...], str, str]]] = {cid: [] for cid in serving}
 
+    def record_log(phase_tag: tuple[int, ...], flood_tag: str, vals: np.ndarray) -> None:
+        head = f'  [\n    {_int_list(phase_tag)},\n    "{flood_tag}",\n    '
+        sep = "\n  ],\n" + head
+        for cid in serving:
+            tids, texts = log_order[cid]
+            v = vals[tids]
+            kept = np.flatnonzero(v != ABSENT).tolist()
+            if kept:
+                body = sep.join([texts[i] + str(x) for i, x in zip(kept, v[kept].tolist())])
+                chunks[cid].append((phase_tag, flood_tag, head + body + "\n  ]"))
+
+    gamma = [c.input for c in carrier.copies]
     for ph in engine.phases:
         if ph.source is None:
             continue
@@ -327,9 +352,9 @@ def _run_carrier(carrier: Carrier):
             c.id for c in carrier.copies if c.base_node in ph.seeds_b
         )
         vals_b = flood_records(tu_c, seeds_b, gamma, {})
+        record_log(phase_tag, "trace", vals_b)
         new_gamma = list(gamma)
         for c in carrier.copies:
-            record_log(c.id, phase_tag, "trace", vals_b)
             if c.base_node in ph.source:
                 vec = collapse(c.id, vals_b)
                 new_gamma[c.id] = engine.node_step_cd(ph, c.base_node, gamma[c.id], vec)
@@ -337,16 +362,18 @@ def _run_carrier(carrier: Carrier):
             c.id for c in carrier.copies if c.base_node in ph.source
         )
         vals_e = flood_records(tu_c, seeds_e, new_gamma, {})
+        record_log(phase_tag, "relay", vals_e)
         for c in carrier.copies:
-            record_log(c.id, phase_tag, "relay", vals_e)
             if c.base_node not in ph.source and c.base_node not in ph.fault_set:
                 vec = collapse(c.id, vals_e)
                 new_gamma[c.id] = engine.node_step_f(ph, c.base_node, gamma[c.id], vec)
         gamma = new_gamma
 
-    log_bytes = {
-        cid: canonical_json(sorted(entries)).encode() for cid, entries in logs.items()
-    }
+    log_bytes = {}
+    for cid, parts in chunks.items():
+        parts.sort(key=lambda p: p[:2])
+        text = ",\n".join(p[2] for p in parts)
+        log_bytes[cid] = (f"[\n{text}\n]\n" if parts else "[]\n").encode()
     return gamma, log_bytes
 
 

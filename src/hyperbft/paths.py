@@ -1,17 +1,13 @@
-"""Vertex-disjoint path counting, canonical shortest paths, and trace universes.
+"""Vertex-disjoint path counting, canonical shortest paths, and path packing.
 
 Path counting works on the underlying digraph of a hypergraph with unit node
 capacities (max-flow on a vertex-split network), following the classical
-max-flow/min-cut correspondence for internally disjoint paths.  Trace
-enumeration produces every simple hyperedge sequence ending at a target node;
-the protocol engine and the path-packing decision rules share these universes.
+max-flow/min-cut correspondence for internally disjoint paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .hypergraph import DirectedHypergraph
 
@@ -197,65 +193,6 @@ def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | N
         path.append(best[0])
         cur = best[1]
     return tuple(path)
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A simple hyperedge sequence ending at some target node.
-
-    ``heads`` are the nodes visited before the target (``heads[i]`` transmits
-    on ``edges[i]``); ``node_mask`` covers the heads plus the target in the
-    graph's bit order.  The empty trace (origin == target) is always present.
-    """
-
-    rid: int
-    origin: int
-    edges: tuple[int, ...]
-    heads: tuple[int, ...]
-    node_mask: int
-
-
-@lru_cache(maxsize=None)
-def trace_universe(g: DirectedHypergraph, target: int) -> tuple[Trace, ...]:
-    """Every simple trace of ``g`` ending at ``target``, the empty one first.
-
-    Traces are simple at node level: the transmitting nodes are pairwise
-    distinct and never equal the target.
-    """
-    bit = g.bit_of
-    tbit = 1 << bit[target]
-    edges_with_tail: dict[int, list] = {v: [] for v in g.nodes}
-    for e in g.edges:
-        for w in e.tails:
-            edges_with_tail[w].append(e)
-    for v in g.nodes:
-        edges_with_tail[v].sort(key=lambda e: e.id)
-
-    results: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = [
-        (target, (), (), tbit)
-    ]
-    stack: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = [(target, tbit, (), ())]
-    while stack:
-        node, used, suffix, heads_suffix = stack.pop()
-        for e in edges_with_tail[node]:
-            hb = 1 << bit[e.head]
-            if used & hb:
-                continue
-            edges2 = (e.id,) + suffix
-            heads2 = (e.head,) + heads_suffix
-            results.append((e.head, edges2, heads2, used | hb))
-            stack.append((e.head, used | hb, edges2, heads2))
-    results.sort(key=lambda r: (len(r[1]), r[1]))
-    return tuple(
-        Trace(i, origin, edges, heads, mask)
-        for i, (origin, edges, heads, mask) in enumerate(results)
-    )
-
-
-@lru_cache(maxsize=None)
-def trace_index(g: DirectedHypergraph, target: int) -> dict[tuple[int, ...], int]:
-    """Map a trace's edge tuple to its id in ``trace_universe(g, target)``."""
-    return {t.edges: t.rid for t in trace_universe(g, target)}
 
 
 def exists_disjoint_packing(masks: list[int], k: int) -> bool:

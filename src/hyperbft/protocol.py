@@ -248,6 +248,7 @@ class TrailUniverse:
         self.g = g
         self.size = len(origins)
         self.index = index
+        self.trail_of = trail_of        # trail id -> its channel ids, in order
         self.layer_bounds = layer_bounds
         self.origin = np.array(origins, dtype=np.int32)
         self.parent = np.array(parents, dtype=np.int32)
@@ -499,16 +500,6 @@ class Engine:
         ]
         self._cache: dict[tuple, tuple[tuple[int, ...], bool, bool | None]] = {}
 
-    # -- flooding ---------------------------------------------------------
-
-    def _flood(
-        self,
-        seeds: frozenset[int],
-        gamma: tuple[int, ...],
-        rules: dict[int, Adversary],
-    ) -> np.ndarray:
-        return flood_records(self.tu, seeds, gamma, rules)
-
     # -- per-node protocol steps (reused by the indistinguishability harness)
 
     def node_step_cd(self, ph: PhaseData, v: int, own_gamma: int, vals_b: np.ndarray) -> int:
@@ -647,11 +638,11 @@ class Engine:
         if ph.source is None:
             return gamma
         new_gamma = list(gamma)
-        vals_b = self._flood(ph.seeds_b, gamma, rules)
+        vals_b = flood_records(self.tu, ph.seeds_b, gamma, rules)
         for v in sorted(ph.source):
             new_gamma[v] = self.node_step_cd(ph, v, gamma[v], vals_b)
         # step (e)+(f): S floods its updated state, the rest adopts
-        vals_e = self._flood(ph.source, tuple(new_gamma), rules)
+        vals_e = flood_records(self.tu, ph.source, tuple(new_gamma), rules)
         for v in ph.updaters_f:
             new_gamma[v] = self.node_step_f(ph, v, gamma[v], vals_e)
         return tuple(new_gamma)

@@ -5,14 +5,20 @@ exhaustive search, deliberately avoiding the bitmask, max-flow, and pruning
 machinery under test.  Keep inputs tiny (n <= 6 for paths, n <= 4 for the
 condition replays); the point is trust, not speed.  The one bitmask routine,
 ``lcr_split_violated_loop``, is the plain-loop form of the vectorised LCR
-detector and serves as its reference.
+detector and serves as its reference.  ``carrier_logs`` is the plain form of
+the necessity harness's reception logs: it replays the carrier run and
+renders each copy's log as ``canonical_json`` of its sorted entries.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
+from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
 from hyperbft.splitting import enumerate_lambda
 
 
@@ -195,3 +201,72 @@ def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) ->
         if bad[x] and dp[full & ~x]:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# necessity harness: reception logs
+
+
+def carrier_logs(carrier) -> tuple[list[int], dict[int, bytes]]:
+    """Final states and reception logs of every copy of a carrier system.
+
+    Replays the carrier run phase by phase; each received record becomes an
+    entry [phase fault set, "trace"|"relay", origin, base channel trail,
+    value], with the trail rebuilt by walking the record's parents, and a
+    copy's log is the canonical JSON of its sorted entries."""
+    g = carrier.base
+    engine = get_engine(g, carrier.f)
+    tu_g = engine.tu
+    groups = {c.id: g.bit_of[c.base_node] for c in carrier.copies}
+    tu_c = TrailUniverse(carrier.graph, groups=groups)
+
+    def base_record(t: int) -> tuple[int, list[int]]:
+        trail = []
+        cur = t
+        while cur >= 0:
+            trail.append(carrier.base_edge[int(tu_c.edge[cur])])
+            cur = int(tu_c.parent[cur])
+        trail.reverse()
+        return carrier.copies[int(tu_c.origin[t])].base_node, trail
+
+    def collapse(cid: int, vals: np.ndarray) -> np.ndarray:
+        vec = np.full(tu_g.size, ABSENT, dtype=np.int16)
+        for t in tu_c.receives[cid].tolist():
+            origin, trail = base_record(t)
+            vec[tu_g.tid(origin, tuple(trail))] = vals[t]
+        return vec
+
+    gamma = [c.input for c in carrier.copies]
+    logs: dict[int, list] = {c.id: [] for c in carrier.copies}
+
+    def record_log(cid: int, phase_tag, flood_tag: str, vals: np.ndarray) -> None:
+        for t in tu_c.receives[cid].tolist():
+            v = int(vals[t])
+            if v != ABSENT:
+                origin, trail = base_record(t)
+                logs[cid].append([list(phase_tag), flood_tag, origin, trail, v])
+
+    for ph in engine.phases:
+        if ph.source is None:
+            continue
+        phase_tag = tuple(sorted(ph.fault_set))
+        seeds_b = frozenset(c.id for c in carrier.copies if c.base_node in ph.seeds_b)
+        vals_b = flood_records(tu_c, seeds_b, gamma, {})
+        new_gamma = list(gamma)
+        for c in carrier.copies:
+            record_log(c.id, phase_tag, "trace", vals_b)
+            if c.base_node in ph.source:
+                vec = collapse(c.id, vals_b)
+                new_gamma[c.id] = engine.node_step_cd(ph, c.base_node, gamma[c.id], vec)
+        seeds_e = frozenset(c.id for c in carrier.copies if c.base_node in ph.source)
+        vals_e = flood_records(tu_c, seeds_e, new_gamma, {})
+        for c in carrier.copies:
+            record_log(c.id, phase_tag, "relay", vals_e)
+            if c.base_node not in ph.source and c.base_node not in ph.fault_set:
+                vec = collapse(c.id, vals_e)
+                new_gamma[c.id] = engine.node_step_f(ph, c.base_node, gamma[c.id], vec)
+        gamma = new_gamma
+
+    return gamma, {
+        cid: canonical_json(sorted(entries)).encode() for cid, entries in logs.items()
+    }

@@ -4,7 +4,10 @@ import pytest
 
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.generators import complete_p2p, sample_condition_violating
-from hyperbft.necessity import build_carrier, build_necessity_executions
+from hyperbft.necessity import _run_carrier, build_carrier, build_necessity_executions
+from hyperbft.protocol import get_engine
+
+from oracles import carrier_logs
 
 
 def test_triangle_produces_split_outputs() -> None:
@@ -74,3 +77,21 @@ def test_random_violating_instances_all_split() -> None:
     for g, rep0 in sample_condition_violating(4, 4, 1, seed=17):
         rep = build_necessity_executions(g, 1, rep0.violation)
         assert rep.ok, (g.n, len(g.edges))
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_reception_logs_match_the_canonical_json_oracle(f: int) -> None:
+    checked = 0
+    for g, rep0 in sample_condition_violating(8, 6, f, seed=3):
+        if get_engine(g, f).tu.size > 400:
+            continue    # the oracle renders logs of tens of MB there
+        carrier = build_carrier(g, f, rep0.violation)
+        gamma, logs = _run_carrier(carrier)
+        want_gamma, want_logs = carrier_logs(carrier)
+        assert gamma == want_gamma
+        serving = [c.id for c in carrier.copies if c.serves]
+        assert sorted(logs) == serving
+        for cid in serving:
+            assert logs[cid] == want_logs[cid], (g.n, len(g.edges), cid)
+        checked += 1
+    assert checked >= 6
