@@ -6,12 +6,15 @@ any rewrite of the detector or of the split enumeration has to reproduce
 them byte for byte (verdict, witness, and every ``*_checked`` counter).
 The reception-log digests were taken from the log builder that rendered
 each log with ``canonical_json``; a rewrite of the log builder has to
-reproduce every log byte for byte.
+reproduce every log byte for byte.  The simulator digests were taken from
+the dict-network max-flow and the layer-by-layer flood; a rewrite of either
+has to reproduce every run's verdicts and phase states byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -20,8 +23,15 @@ from click.testing import CliRunner
 from hyperbft.cli import main
 from hyperbft.conditions import check_ab_hyper, check_lcr_hyper
 from hyperbft.formats import canonical_json, parse_topology, serialize_topology
-from hyperbft.generators import complete_p2p, path_local_broadcast, sample_condition_violating
+from hyperbft.generators import (
+    complete_p2p,
+    cycle_local_broadcast,
+    path_local_broadcast,
+    sample_condition_passing,
+    sample_condition_violating,
+)
 from hyperbft.necessity import build_necessity_executions
+from hyperbft.protocol import SplitPersonaAdversary, _sweep_combos, run_scenario, sweep_scenarios
 from hyperbft.reductions import check_lcr_local, check_lcr_p2p, cross_validate_reduction
 
 SEED = 20260817
@@ -114,3 +124,48 @@ def test_reception_logs_match_golden() -> None:
     got = {name: _log_digest(build_necessity_executions(g, f, v))
            for name, g, f, v in _necessity_cases()}
     assert got == LOG_DIGESTS
+
+
+def _passing5(i: int):
+    return [g for g, _ in sample_condition_passing(12, 5, 1, seed=SEED) if g.n == 5][i]
+
+
+SWEEP_GRAPHS = {
+    "complete4": lambda: complete_p2p(4),
+    "cycle4": lambda: cycle_local_broadcast(4),
+    "complete3": lambda: complete_p2p(3),   # infeasible: split_persona failures
+    "passing5_0": lambda: _passing5(0),
+    "passing5_1": lambda: _passing5(1),
+    "passing5_2": lambda: _passing5(2),
+}
+
+# sha256 over canonical_json of the f=1 sweep report, then of every run in it
+SWEEP_DIGESTS = {
+    "complete4": "94bb73189ac3f68c71aa75ae0b85aa6c73b31e920634f17a999af813c7890da6",
+    "cycle4": "02c6afb003ccebbd54cfa05ec8e1efc4148bc211d90489dfb5f9cc53eac7dbfc",
+    "complete3": "41e1481468818288bc467cc81aa2e5b575d155e68a0603f332e5055970d14de0",
+    "passing5_0": "de48e20d5f54a9be603359e34cd36bff5c071242559aa388ead8462c11f2865b",
+    "passing5_1": "663a037d2017ced1b592417862eef39928a46f7c432bddf0e0811f015dabea12",
+    "passing5_2": "b3dac541bf19c0c9384babcd807e5bbd05f0933b5aa737db7bb6282d4ce9051b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+def test_sweep_bytes_match_golden(name: str) -> None:
+    g = SWEEP_GRAPHS[name]()
+    h = hashlib.sha256(canonical_json(sweep_scenarios(g, 1)).encode())
+    for fset, adv, inputs in _sweep_combos(g, 1):
+        h.update(canonical_json(run_scenario(g, 1, fset, dict(inputs), adv)).encode())
+    assert h.hexdigest() == SWEEP_DIGESTS[name]
+
+
+def test_split_persona_assignment_run_matches_golden() -> None:
+    g = complete_p2p(3)
+    eids = sorted(e.id for e in g.head_edges(0))
+    adv = SplitPersonaAdversary(assignment={eids[0]: 1, eids[1]: 0})
+    h = hashlib.sha256()
+    for inputs in itertools.product((0, 1), repeat=3):
+        h.update(canonical_json(run_scenario(g, 1, [0], dict(enumerate(inputs)), adv)).encode())
+    assert h.hexdigest() == (
+        "17d7bb0a8df4490377f595cd6bae4af69772614ec67f87c5c7914aa187369435"
+    )
