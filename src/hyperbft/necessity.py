@@ -351,7 +351,7 @@ def _run_carrier(carrier: Carrier):
         seeds_b = frozenset(
             c.id for c in carrier.copies if c.base_node in ph.seeds_b
         )
-        vals_b = flood_records(tu_c, seeds_b, gamma, {})
+        vals_b = flood_records(tu_c, seeds_b, gamma)
         record_log(phase_tag, "trace", vals_b)
         new_gamma = list(gamma)
         for c in carrier.copies:
@@ -361,7 +361,7 @@ def _run_carrier(carrier: Carrier):
         seeds_e = frozenset(
             c.id for c in carrier.copies if c.base_node in ph.source
         )
-        vals_e = flood_records(tu_c, seeds_e, new_gamma, {})
+        vals_e = flood_records(tu_c, seeds_e, new_gamma)
         record_log(phase_tag, "relay", vals_e)
         for c in carrier.copies:
             if c.base_node not in ph.source and c.base_node not in ph.fault_set:

@@ -7,11 +7,7 @@ max-flow/min-cut correspondence for internally disjoint paths.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .hypergraph import DirectedHypergraph
-
-_INF = 1 << 30
 
 
 def max_disjoint_paths_bits(
@@ -29,6 +25,16 @@ def max_disjoint_paths_bits(
     have capacity one (so distinct paths use distinct sources and internals)
     except those in ``uncapped_mask`` and the target, which are unconstrained.
     Nodes in ``removed_mask`` are deleted.  Counting stops at ``cap`` if given.
+
+    Max-flow by breadth-first augmenting paths on the vertex-split graph:
+    node i is an in-vertex and an out-vertex joined by an internal arc, every
+    arc i -> j runs from i's out-vertex to j's in-vertex with capacity one,
+    a super source feeds the sources' in-vertices, and the target's
+    in-vertex is the sink.  The residual state is held in int bitmasks:
+    ``fout[i]`` / ``fin[i]`` are the nodes that i's arcs carry flow to / from,
+    ``through`` the capped nodes whose internal arc is full, and ``fed`` the
+    capped sources whose source arc is.  Uncapped nodes never saturate; their
+    internal arc can be walked backwards exactly when flow enters them.
     """
     if sources_mask >> target_bit & 1:
         raise ValueError("target must not be a source; handle the trivial path upstream")
@@ -38,54 +44,82 @@ def max_disjoint_paths_bits(
     if not sources_mask:
         return 0
 
-    # vertex-split flow network: node i -> (2i) in-vertex, (2i+1) out-vertex,
-    # plus a super source s = 2*nbits.
-    size = 2 * nbits + 1
-    s = 2 * nbits
-    t = 2 * target_bit  # target's in-vertex is the sink
-    capacity: list[dict[int, int]] = [dict() for _ in range(size)]
-
-    def add_arc(a: int, b: int, c: int) -> None:
-        capacity[a][b] = capacity[a].get(b, 0) + c
-        capacity[b].setdefault(a, 0)
-
-    for i in range(nbits):
-        if removed_mask >> i & 1:
-            continue
-        internal = _INF if (uncapped_mask >> i & 1) or i == target_bit else 1
-        add_arc(2 * i, 2 * i + 1, internal)
-        nbrs = adj_bits[i] & ~removed_mask
-        while nbrs:
-            low = nbrs & -nbrs
-            j = low.bit_length() - 1
-            nbrs ^= low
-            add_arc(2 * i + 1, 2 * j, 1)
-    src = sources_mask
-    while src:
-        low = src & -src
-        i = low.bit_length() - 1
-        src ^= low
-        add_arc(s, 2 * i, 1 if not (uncapped_mask >> i & 1) else _INF)
-
+    live = ((1 << nbits) - 1) & ~removed_mask
+    arcs = [adj_bits[i] & live & ~(1 << i) for i in range(nbits)]
+    capped = live & ~uncapped_mask & ~(1 << target_bit)
+    fout = [0] * nbits
+    fin = [0] * nbits
+    through = 0
+    fed = 0
+    # BFS vertices: in-vertex i is i, out-vertex i is nbits + i; -1 is the source
+    parent = [0] * (2 * nbits)
     flow = 0
-    limit = cap if cap is not None else _INF
-    while flow < limit:
-        parent: dict[int, int] = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            a = queue.popleft()
-            for b, c in capacity[a].items():
-                if c > 0 and b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        if t not in parent:
+    while cap is None or flow < cap:
+        start = sources_mask & ~(fed & capped)
+        seen_in = start
+        seen_out = 0
+        queue = []
+        m = start
+        while m:
+            low = m & -m
+            m ^= low
+            i = low.bit_length() - 1
+            parent[i] = -1
+            queue.append(i)
+        found = False
+        for x in queue:
+            if x < nbits:
+                # in-vertex: forward through the node, or back along an inflow
+                nxt = fin[x]
+                if not through >> x & 1:
+                    nxt |= 1 << x
+                nxt &= ~seen_out
+                seen_out |= nxt
+                while nxt:
+                    low = nxt & -nxt
+                    nxt ^= low
+                    j = low.bit_length() - 1
+                    parent[nbits + j] = x
+                    queue.append(nbits + j)
+            else:
+                i = x - nbits
+                nxt = arcs[i] & ~fout[i]
+                if fin[i]:
+                    nxt |= 1 << i
+                nxt &= ~seen_in
+                if nxt >> target_bit & 1:
+                    parent[target_bit] = x
+                    found = True
+                    break
+                seen_in |= nxt
+                while nxt:
+                    low = nxt & -nxt
+                    nxt ^= low
+                    j = low.bit_length() - 1
+                    parent[j] = x
+                    queue.append(j)
+        if not found:
             break
-        b = t
-        while b != s:
-            a = parent[b]
-            capacity[a][b] -= 1
-            capacity[b][a] += 1
-            b = a
+        x = target_bit
+        while True:
+            p = parent[x]
+            if p < 0:
+                fed |= 1 << x
+                break
+            if x < nbits:
+                i = p - nbits
+                if i == x:
+                    through &= ~(1 << x)      # back through the node
+                else:
+                    fout[i] |= 1 << x         # arc i -> x gains flow
+                    fin[x] |= 1 << i
+            elif p == x - nbits:
+                through |= (1 << p) & capped  # forward through the node
+            else:
+                i = x - nbits
+                fout[i] &= ~(1 << p)          # arc i -> p gives its flow back
+                fin[p] &= ~(1 << i)
+            x = p
         flow += 1
     return flow
 

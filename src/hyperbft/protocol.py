@@ -21,9 +21,12 @@ Flooding is modeled exactly: a record is a simple trail (origin; e1...ek)
 whose value is transformed at every hop by the transmitting node - honestly
 for non-faulty nodes, by the adversary's rule for faulty ones.  A missing
 record is read as 1 at every decision point.  The engine precomputes the
-trail universe per graph and evaluates floods layer by layer with numpy, so
-repeated runs (sweeps over inputs, fault sets, and adversaries) are cheap;
-phase transitions are memoized on the full state vector.
+trail universe per graph; since an adversary's forward rule is a fixed map
+on {0, 1}, a flood is evaluated in closed form with a few numpy operations
+over the universe (each trail's origin emission, mapped once per faulty
+forwarder), so repeated runs (sweeps over inputs, fault sets, and
+adversaries) are cheap.  Phase transitions are memoized on the full state
+vector, and step (d)'s propagation test on the split and the Z/N sorting.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conditions import subsets_by_cardinality
+from .conditions import _MASK_BITS, subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
 from .paths import canonical_path, exists_disjoint_packing, max_disjoint_paths_bits
 
@@ -55,19 +58,28 @@ class Adversary:
     A faulty node only ever transmits in its legitimate slots: when seeding a
     flood, or when forwarding a record that physically reached it
     (records never materialize out of thin air, and receivers validate trail
-    structure and timing).  Within a slot the rule picks the emitted value;
-    ``None`` means stay silent, which downstream readers see as a missing
-    record.  ``follows_protocol`` marks rules that behave exactly like a
-    correct node."""
+    structure and timing).  A strategy fixes the value sent in each slot, in
+    two parts:
+
+    * ``forward``: the values forwarded on receiving 0 and on receiving 1,
+      each 0, 1 or ``None`` (stay silent, which downstream readers see as a
+      missing record).  The same map applies at every hop through a faulty
+      node, so a record's value is the origin's emission with the map applied
+      once per faulty forwarder on its trail.
+    * ``emit(node, gamma, ranks, edge_ids)``: the values ``node`` originates
+      on its channels, given the state ``gamma`` it would honestly send, each
+      channel's rank among the node's channels in id order, and the channel
+      ids.  Returns one entry per channel, ABSENT for silence.
+
+    The defaults forward and originate honestly.  ``follows_protocol`` marks
+    rules that behave exactly like a correct node."""
 
     name = "adversary"
     follows_protocol = False
+    forward: tuple[int | None, int | None] = (0, 1)
 
-    def origin_value(self, node: int, gamma: int, edge_id: int) -> int | None:
-        raise NotImplementedError
-
-    def forward_value(self, node: int, edge_id: int, incoming: int) -> int | None:
-        raise NotImplementedError
+    def emit(self, node: int, gamma: int, ranks: np.ndarray, edge_ids: np.ndarray) -> np.ndarray:
+        return np.full(len(ranks), gamma, dtype=np.int16)
 
     @property
     def key(self) -> tuple:
@@ -80,12 +92,6 @@ class HonestAdversary(Adversary):
     name = "honest"
     follows_protocol = True
 
-    def origin_value(self, node, gamma, edge_id):
-        return gamma
-
-    def forward_value(self, node, edge_id, incoming):
-        return incoming
-
 
 class ConstantAdversary(Adversary):
     """Transmits the same bit in every slot, regardless of state."""
@@ -93,36 +99,27 @@ class ConstantAdversary(Adversary):
     def __init__(self, bit: int):
         self.bit = bit
         self.name = f"constant-{bit}"
+        self.forward = (bit, bit)
 
-    def origin_value(self, node, gamma, edge_id):
-        return self.bit
-
-    def forward_value(self, node, edge_id, incoming):
-        return self.bit
+    def emit(self, node, gamma, ranks, edge_ids):
+        return np.full(len(ranks), self.bit, dtype=np.int16)
 
 
 class FlipForwardingAdversary(Adversary):
     """Originates its own state honestly but inverts every forwarded value."""
 
     name = "flip_forwarding"
-
-    def origin_value(self, node, gamma, edge_id):
-        return gamma
-
-    def forward_value(self, node, edge_id, incoming):
-        return 1 - incoming
+    forward = (1, 0)
 
 
 class SilentAdversary(Adversary):
     """Never transmits; every record through it is missing downstream."""
 
     name = "silent"
+    forward = (None, None)
 
-    def origin_value(self, node, gamma, edge_id):
-        return None
-
-    def forward_value(self, node, edge_id, incoming):
-        return None
+    def emit(self, node, gamma, ranks, edge_ids):
+        return np.full(len(ranks), ABSENT, dtype=np.int16)
 
 
 class SplitPersonaAdversary(Adversary):
@@ -139,16 +136,10 @@ class SplitPersonaAdversary(Adversary):
         self.assignment = dict(assignment) if assignment else None
         self.name = "split_persona"
 
-    def persona(self, node: int, edge_rank: int, edge_id: int) -> int:
-        if self.assignment is not None:
-            return self.assignment.get(edge_id, 0)
-        return edge_rank % 2
-
-    def origin_value(self, node, gamma, edge_id):
-        raise NotImplementedError("engine resolves personas via persona()")
-
-    def forward_value(self, node, edge_id, incoming):
-        return incoming
+    def emit(self, node, gamma, ranks, edge_ids):
+        if self.assignment is None:
+            return (ranks % 2).astype(np.int16)
+        return np.array([self.assignment.get(e, 0) for e in edge_ids.tolist()], dtype=np.int16)
 
     @property
     def key(self) -> tuple:
@@ -188,26 +179,25 @@ ADVERSARY_NAMES = (
 
 
 class TrailUniverse:
-    """Every forwarding trail of a graph, in BFS layers.
+    """Every forwarding trail of a graph, in BFS order (a trail's parent,
+    the trail one channel shorter, comes first).
 
     A trail is simple: no node transmits twice.  ``groups`` generalizes that
     check — nodes sharing a group id exclude each other along one trail (used
     when several carrier copies stand in for one underlying node and a
-    receiver would reject the collapsed duplicate)."""
+    receiver would reject the collapsed duplicate).  ``tmask`` holds each
+    trail's transmitters as node bits, or as group bits with ``groups``."""
 
     def __init__(self, g: DirectedHypergraph, groups: dict[int, int] | None = None):
-        n = g.n
         bit = g.bit_of if groups is None else {v: groups[v] for v in g.node_order}
         tails_of = {e.id: e.sorted_tails() for e in g.edges}
         origins: list[int] = []
         parents: list[int] = []
         edges: list[int] = []
-        transmitters: list[int] = []
         tmask: list[int] = []
         first_edge: list[int] = []
         trail_of: list[tuple[int, ...]] = []
         index: dict[tuple[int, tuple[int, ...]], int] = {}
-        layer_bounds: list[tuple[int, int]] = []
 
         for u in g.node_order:
             for e in g.head_edges(u):
@@ -215,12 +205,10 @@ class TrailUniverse:
                 origins.append(u)
                 parents.append(-1)
                 edges.append(e.id)
-                transmitters.append(u)
                 tmask.append(1 << bit[u])
                 first_edge.append(e.id)
                 trail_of.append((e.id,))
                 index[(u, (e.id,))] = tid
-        layer_bounds.append((0, len(origins)))
 
         lo, hi = 0, len(origins)
         while lo < hi:
@@ -235,41 +223,28 @@ class TrailUniverse:
                         origins.append(origins[ptid])
                         parents.append(ptid)
                         edges.append(e2.id)
-                        transmitters.append(w)
                         tmask.append(pmask | wb)
                         first_edge.append(first_edge[ptid])
                         te = trail_of[ptid] + (e2.id,)
                         trail_of.append(te)
                         index[(origins[ptid], te)] = tid
             lo, hi = hi, len(origins)
-            if lo < hi:
-                layer_bounds.append((lo, hi))
 
         self.g = g
+        self.grouped = groups is not None
         self.size = len(origins)
         self.index = index
         self.trail_of = trail_of        # trail id -> its channel ids, in order
-        self.layer_bounds = layer_bounds
         self.origin = np.array(origins, dtype=np.int32)
         self.parent = np.array(parents, dtype=np.int32)
         self.edge = np.array(edges, dtype=np.int32)
-        self.transmitter = np.array(transmitters, dtype=np.int32)
         self.tmask = np.array(tmask, dtype=np.int64)
         self.first_edge = np.array(first_edge, dtype=np.int32)
-
-        # per-node columns: the edge the node transmitted on within the trail
-        max_eid = max((e.id for e in g.edges), default=-1)
-        self.max_edge_id = max_eid
-        self.edge_used: dict[int, np.ndarray] = {}
-        for v in g.node_order:
-            col = np.full(self.size, -1, dtype=np.int32)
-            for tid in range(self.size):
-                p = parents[tid]
-                if transmitters[tid] == v:
-                    col[tid] = edges[tid]
-                elif p >= 0:
-                    col[tid] = col[p]
-            self.edge_used[v] = col
+        self.max_edge_id = max((e.id for e in g.edges), default=-1)
+        # channel id -> its head (unused ids point at node 0 and are never read)
+        self.edge_head = np.zeros(self.max_edge_id + 1, dtype=np.int32)
+        for e in g.edges:
+            self.edge_head[e.id] = e.head
 
         receives: dict[int, list[int]] = {v: [] for v in g.node_order}
         for tid in range(self.size):
@@ -280,73 +255,74 @@ class TrailUniverse:
     def tid(self, origin: int, trail: tuple[int, ...]) -> int | None:
         return self.index.get((origin, trail))
 
+    def edge_used(self) -> dict[int, np.ndarray]:
+        """Per node, the channel it transmitted on within each trail (-1 if
+        it did not transmit)."""
+        parents = self.parent.tolist()
+        edges = self.edge.tolist()
+        heads = self.edge_head.tolist()
+        cols = {}
+        for v in self.g.node_order:
+            col = [-1] * self.size
+            for tid, (p, eid) in enumerate(zip(parents, edges)):
+                if heads[eid] == v:
+                    col[tid] = eid
+                elif p >= 0:
+                    col[tid] = col[p]
+            cols[v] = np.array(col, dtype=np.int32)
+        return cols
+
 
 def flood_records(
     tu: TrailUniverse,
     seeds,
     gamma,
-    rules: dict[int, Adversary] | None = None,
+    faulty=(),
+    adversary: Adversary | None = None,
 ) -> np.ndarray:
-    """Evaluate one flood: the value of every trail record, layer by layer.
+    """Evaluate one flood: the value of every trail record.
 
     ``gamma[v]`` is the state node v would honestly originate; only nodes in
-    ``seeds`` originate anything.  ``rules`` overrides the behavior of faulty
-    nodes.  Returns an int16 array indexed by trail id, ABSENT for records
-    that never materialize.
+    ``seeds`` originate anything.  The nodes in ``faulty`` all follow the one
+    ``adversary`` (none: everybody is honest).  Returns an int16 array indexed
+    by trail id, ABSENT for records that never materialize.
+
+    In closed form: every channel's emission is looked up by each trail's
+    first channel, then the adversary's forward map is applied k times, k
+    being the number of faulty forwarders on the trail (told by ``tmask``, so
+    an adversary needs an ungrouped universe).
     """
     g = tu.g
-    rules = rules or {}
-    vals = np.full(tu.size, ABSENT, dtype=np.int16)
     garr = np.array([gamma[v] for v in range(g.n)], dtype=np.int16)
-    s0, e0 = tu.layer_bounds[0]
-    orig = tu.origin[s0:e0]
-    seed_arr = np.zeros(g.n, dtype=bool)
-    for s in seeds:
-        seed_arr[s] = True
-    base = np.where(seed_arr[orig], garr[orig], ABSENT)
-    for w, rule in rules.items():
-        if rule.follows_protocol or not seed_arr[w]:
-            continue
-        sel = np.nonzero(orig == w)[0]
-        if isinstance(rule, SplitPersonaAdversary):
-            ranks = {e.id: i for i, e in enumerate(g.head_edges(w))}
-            for i in sel:
-                eid = int(tu.edge[s0 + i])
-                base[i] = rule.persona(w, ranks[eid], eid)
-        else:
-            for i in sel:
-                out = rule.origin_value(w, int(garr[w]), int(tu.edge[s0 + i]))
-                base[i] = ABSENT if out is None else out
-    vals[s0:e0] = base
-
-    for s, e in tu.layer_bounds[1:]:
-        pv = vals[tu.parent[s:e]]
-        out = pv.copy()
-        for w, rule in rules.items():
-            if rule.follows_protocol:
-                continue
-            sel = tu.transmitter[s:e] == w
-            if not sel.any():
-                continue
-            if isinstance(rule, ConstantAdversary):
-                out[sel] = rule.bit
-            elif isinstance(rule, FlipForwardingAdversary):
-                out[sel] = 1 - out[sel]
-            elif isinstance(rule, SilentAdversary):
-                out[sel] = ABSENT
-            elif isinstance(rule, SplitPersonaAdversary):
-                pass  # forwards received values unchanged
-            else:
-                idx = np.nonzero(sel)[0]
-                for i in idx:
-                    inc = int(out[i])
-                    if inc == ABSENT:
-                        continue
-                    o = rule.forward_value(w, int(tu.edge[s + i]), inc)
-                    out[i] = ABSENT if o is None else o
-        out = np.where(pv == ABSENT, ABSENT, out)
-        vals[s:e] = out
-    return vals
+    seeded = np.zeros(g.n, dtype=bool)
+    seeded[list(seeds)] = True
+    heads = tu.edge_head
+    emission = np.where(seeded[heads], garr[heads], np.int16(ABSENT))
+    if adversary is None or adversary.follows_protocol or not faulty:
+        return emission.take(tu.first_edge)
+    if tu.grouped:
+        raise ValueError("an adversary needs a trail universe without groups")
+    bit = g.bit_of
+    for w in faulty:
+        if seeded[w]:
+            eids = np.array([e.id for e in g.head_edges(w)], dtype=np.int32)
+            emission[eids] = adversary.emit(w, int(garr[w]), np.arange(len(eids)), eids)
+    # table[c, e]: the value of a record whose first channel is e and whose
+    # trail has c faulty transmitters, a faulty origin (the head of e) included
+    step = np.array(
+        [ABSENT] + [ABSENT if x is None else x for x in adversary.forward], dtype=np.int16
+    )
+    powers = [emission]
+    for _ in faulty:
+        powers.append(step[powers[-1] + 1])
+    is_faulty = np.zeros(g.n, dtype=bool)
+    is_faulty[list(faulty)] = True
+    origin_faulty = is_faulty[heads]
+    table = [emission] + [
+        np.where(origin_faulty, powers[c - 1], powers[c]) for c in range(1, len(powers))
+    ]
+    count = sum((tu.tmask >> bit[w]) & 1 for w in faulty)
+    return np.concatenate(table).take(count * len(emission) + tu.first_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +463,27 @@ class RunResult:
 
 
 class Engine:
-    """Shared per-graph simulator state; run() is memoized per phase."""
+    """Shared per-graph simulator state.
+
+    ``_cache`` memoizes run() per phase and step (d)'s propagation test per
+    (phase, split, Z, N); clearing it empties both."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
         if g.nodes != frozenset(range(g.n)):
             raise ValueError("the simulator needs node ids 0..n-1")
+        if g.n + 2 * f > _MASK_BITS:
+            raise ValueError(
+                f"n + 2f = {g.n + 2 * f}; the simulator's int64 trail masks hold "
+                f"at most {_MASK_BITS} node and fault-copy bits"
+            )
         self.g = g
         self.f = f
         self.tu = TrailUniverse(g)
+        self.edge_used = self.tu.edge_used()
         self.phases = [
             _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
-        self._cache: dict[tuple, tuple[tuple[int, ...], bool, bool | None]] = {}
+        self._cache: dict[tuple, object] = {}
 
     # -- per-node protocol steps (reused by the indistinguishability harness)
 
@@ -516,16 +501,12 @@ class Engine:
 
         # step (c): per-channel copy assignment from traced values
         side_of_edge = np.full(tu.max_edge_id + 2, -1, dtype=np.int8)
-        assignment: dict[int, int] = {}
-        for u, eid in ph.f_edges:
+        sides = 0
+        for i, (u, eid) in enumerate(ph.f_edges):
             tid = ph.cpath_f[v][(u, eid)]
             side = 0 if (tid is not None and vals_b[tid] == 0) else 1
-            assignment[eid] = side
             side_of_edge[eid] = side
-        out_bits = list(ph.split_static)
-        for u, eid in ph.f_edges:
-            b = bit[u] if assignment[eid] == 0 else ph.extra_bit[u]
-            out_bits[b] |= ph.lifted_tails[eid]
+            sides |= side << i
 
         zmask = 0
         for u in nfs_sorted:
@@ -543,23 +524,11 @@ class Engine:
                 nmask |= 1 << bit[u]
 
         # step (d): does Z propagate to N - F' once N's fault copies go?
-        fprime = ph.split_fprime
-        removed = nmask & fprime
-        targets = nmask & ~fprime
-        prop = True
-        t = targets
-        while t:
-            low = t & -t
-            t ^= low
-            tb = low.bit_length() - 1
-            if (
-                max_disjoint_paths_bits(
-                    out_bits, ph.split_m, zmask, tb, removed, 0, self.f + 1
-                )
-                < self.f + 1
-            ):
-                prop = False
-                break
+        key = ("propagates", ph.fault_set, sides, zmask, nmask)
+        prop = self._cache.get(key)
+        if prop is None:
+            prop = self._propagates(ph, sides, zmask, nmask)
+            self._cache[key] = prop
         if prop:
             amask, bmask = zmask, nmask
             need_side = 0
@@ -590,7 +559,7 @@ class Engine:
         extra = np.zeros(len(cand), dtype=np.int64)
         ok_sides = np.ones(len(cand), dtype=bool)
         for u in ph.f_sorted:
-            col = tu.edge_used[u][cand]
+            col = self.edge_used[u][cand]
             visited = col >= 0
             if not visited.any():
                 continue
@@ -608,6 +577,29 @@ class Engine:
             if exists_disjoint_packing(masks, self.f + 1):
                 return b
         return own_gamma
+
+    def _propagates(self, ph: PhaseData, sides: int, zmask: int, nmask: int) -> bool:
+        """Whether Z reaches every node of N - F' along f+1 node-disjoint
+        paths in the split graph whose fault channels go to copy 0 or copy 1
+        by the bits of ``sides`` (one per entry of ``ph.f_edges``), with N's
+        fault copies removed."""
+        bit = self.g.bit_of
+        out_bits = list(ph.split_static)
+        for i, (u, eid) in enumerate(ph.f_edges):
+            b = ph.extra_bit[u] if sides >> i & 1 else bit[u]
+            out_bits[b] |= ph.lifted_tails[eid]
+        fprime = ph.split_fprime
+        removed = nmask & fprime
+        t = nmask & ~fprime
+        while t:
+            low = t & -t
+            t ^= low
+            paths = max_disjoint_paths_bits(
+                out_bits, ph.split_m, zmask, low.bit_length() - 1, removed, 0, self.f + 1
+            )
+            if paths < self.f + 1:
+                return False
+        return True
 
     def node_step_f(self, ph: PhaseData, v: int, own_gamma: int, vals_e: np.ndarray) -> int:
         """Step (f) as executed by node v outside the source component."""
@@ -633,16 +625,17 @@ class Engine:
         self,
         ph: PhaseData,
         gamma: tuple[int, ...],
-        rules: dict[int, Adversary],
+        faulty: frozenset[int],
+        adversary: Adversary,
     ) -> tuple[int, ...]:
         if ph.source is None:
             return gamma
         new_gamma = list(gamma)
-        vals_b = flood_records(self.tu, ph.seeds_b, gamma, rules)
+        vals_b = flood_records(self.tu, ph.seeds_b, gamma, faulty, adversary)
         for v in sorted(ph.source):
             new_gamma[v] = self.node_step_cd(ph, v, gamma[v], vals_b)
         # step (e)+(f): S floods its updated state, the rest adopts
-        vals_e = flood_records(self.tu, ph.source, tuple(new_gamma), rules)
+        vals_e = flood_records(self.tu, ph.source, tuple(new_gamma), faulty, adversary)
         for v in ph.updaters_f:
             new_gamma[v] = self.node_step_f(ph, v, gamma[v], vals_e)
         return tuple(new_gamma)
@@ -659,7 +652,6 @@ class Engine:
         if len(fstar) > self.f:
             raise ValueError(f"|faulty| = {len(fstar)} exceeds f = {self.f}")
         adv = make_adversary(adversary) if isinstance(adversary, str) else adversary
-        rules = {w: adv for w in fstar}
         fkey = (tuple(sorted(fstar)), adv.key)
         gamma = tuple(inputs[v] for v in range(self.g.n))
         honest = [v for v in range(self.g.n) if v not in fstar]
@@ -673,7 +665,7 @@ class Engine:
             hit = self._cache.get(key)
             if hit is None:
                 before = {gamma[v] for v in honest}
-                new_gamma = self._eval_phase(ph, gamma, rules)
+                new_gamma = self._eval_phase(ph, gamma, fstar, adv)
                 sources_ok = all(new_gamma[v] in before for v in honest)
                 if ph.fault_set == fstar and ph.source is not None:
                     agreement = len({new_gamma[v] for v in honest}) <= 1

@@ -8,11 +8,16 @@ condition replays); the point is trust, not speed.  The one bitmask routine,
 detector and serves as its reference.  ``carrier_logs`` is the plain form of
 the necessity harness's reception logs: it replays the carrier run and
 renders each copy's log as ``canonical_json`` of its sorted entries.
+``max_disjoint_paths_network`` is the dict-of-dicts max-flow that the
+bitmask max-flow replaced, and ``flood_records_layered`` evaluates a flood
+one trail length at a time, applying the adversary's forward map at every
+faulty hop, where the library evaluates it in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -89,6 +94,67 @@ def brute_force_disjoint_paths(
 
     pack(0, 0, 0)
     return trivial + best
+
+
+def max_disjoint_paths_network(
+    adj_bits,
+    nbits: int,
+    sources_mask: int,
+    target_bit: int,
+    removed_mask: int = 0,
+    uncapped_mask: int = 0,
+    cap: int | None = None,
+) -> int:
+    """``paths.max_disjoint_paths_bits`` on an explicit residual network:
+    node i becomes in-vertex 2i and out-vertex 2i+1, a super source feeds the
+    sources, and BFS augmenting paths run over dict-of-dicts capacities."""
+    if sources_mask >> target_bit & 1:
+        raise ValueError("target must not be a source; handle the trivial path upstream")
+    sources_mask &= ~removed_mask
+    if removed_mask >> target_bit & 1 or not sources_mask:
+        return 0
+    inf = 1 << 30
+    s = 2 * nbits
+    t = 2 * target_bit
+    capacity: list[dict[int, int]] = [dict() for _ in range(2 * nbits + 1)]
+
+    def add_arc(a: int, b: int, c: int) -> None:
+        capacity[a][b] = capacity[a].get(b, 0) + c
+        capacity[b].setdefault(a, 0)
+
+    for i in range(nbits):
+        if removed_mask >> i & 1:
+            continue
+        internal = inf if (uncapped_mask >> i & 1) or i == target_bit else 1
+        add_arc(2 * i, 2 * i + 1, internal)
+        for j in range(nbits):
+            if (adj_bits[i] & ~removed_mask) >> j & 1:
+                add_arc(2 * i + 1, 2 * j, 1)
+    for i in range(nbits):
+        if sources_mask >> i & 1:
+            add_arc(s, 2 * i, inf if uncapped_mask >> i & 1 else 1)
+
+    flow = 0
+    limit = cap if cap is not None else inf
+    while flow < limit:
+        parent = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            a = queue.popleft()
+            for b, c in capacity[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if t not in parent:
+            break
+        b = t
+        while b != s:
+            a = parent[b]
+            capacity[a][b] -= 1
+            capacity[b][a] += 1
+            b = a
+        flow += 1
+    return flow
 
 
 def brute_force_propagates(
@@ -201,6 +267,49 @@ def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) ->
         if bad[x] and dp[full & ~x]:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# floods
+
+
+def flood_records_layered(tu: TrailUniverse, seeds, gamma, faulty=(), adversary=None):
+    """``protocol.flood_records`` one trail length at a time: a faulty
+    origin's records take its emission on their first channel, and every
+    longer record takes its parent's value through the forward map of a
+    faulty transmitter.  ``transmitter`` and the layer bounds are derived
+    here from ``trail_of``."""
+    g = tu.g
+    heads = {e.id: e.head for e in g.edges}
+    transmitter = np.array([heads[trail[-1]] for trail in tu.trail_of], dtype=np.int32)
+    length = np.array([len(trail) for trail in tu.trail_of], dtype=np.int32)
+    rules = {} if adversary is None or adversary.follows_protocol else dict.fromkeys(faulty)
+    vals = np.full(tu.size, ABSENT, dtype=np.int16)
+    first = np.flatnonzero(length == 1)
+    for i in first.tolist():
+        o = int(tu.origin[i])
+        if o in seeds:
+            vals[i] = gamma[o]
+    for w in rules:
+        if w not in seeds:
+            continue
+        eids = [e.id for e in g.head_edges(w)]
+        emitted = adversary.emit(w, gamma[w], np.arange(len(eids)), np.array(eids))
+        by_edge = dict(zip(eids, emitted.tolist()))
+        for i in first.tolist():
+            if tu.origin[i] == w:
+                vals[i] = by_edge[int(tu.edge[i])]
+    forward = {ABSENT: ABSENT}
+    if rules:
+        forward.update({x: ABSENT if y is None else y for x, y in enumerate(adversary.forward)})
+    for depth in range(2, int(length.max(initial=0)) + 1):
+        layer = np.flatnonzero(length == depth)
+        out = vals[tu.parent[layer]]
+        for w in rules:
+            sel = transmitter[layer] == w
+            out[sel] = [forward[x] for x in out[sel].tolist()]
+        vals[layer] = out
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_simulate_bad_scenario_exits_one(runner, tmp_path) -> None:
     assert res.exit_code == 1
 
 
+def test_simulate_refuses_graphs_past_the_mask_bit_budget(runner, tmp_path) -> None:
+    g = cycle_local_broadcast(64)
+    path = scenario_file(tmp_path, g, [], {v: 0 for v in range(64)}, "honest")
+    res = invoke(runner, "simulate", path)
+    assert res.exit_code == 1
+    assert "n + 2f = 66" in res.output
+
+
 def test_simulate_json_report(runner, tmp_path) -> None:
     path = scenario_file(tmp_path, complete_p2p(4), [3], {0: 1, 1: 0, 2: 1, 3: 0}, "silent")
     res = invoke(runner, "simulate", path, "--json")

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hyperbft.conditions import count_disjoint_Uv_paths, propagates
 from hyperbft.generators import complete_p2p, random_hypergraph, random_p2p
 from hyperbft.hypergraph import DirectedHypergraph
-from hyperbft.paths import canonical_path, exists_disjoint_packing
+from hyperbft.paths import canonical_path, exists_disjoint_packing, max_disjoint_paths_bits
 
-from oracles import brute_force_disjoint_paths, brute_force_propagates
+from oracles import brute_force_disjoint_paths, brute_force_propagates, max_disjoint_paths_network
 
 
 def test_single_arc() -> None:
@@ -88,6 +88,32 @@ def test_matches_brute_force_on_hypergraphs(n: int, m: int, seed: int, data) -> 
     )
     targets = {v for v in range(n) if v % 2 == 0}
     assert propagates(g, srcs, targets, f) == brute_force_propagates(g, srcs, targets, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_bitmask_max_flow_matches_the_network_oracle(n: int, data) -> None:
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    adj = tuple(data.draw(st.lists(masks, min_size=n, max_size=n), label="adj"))
+    target = data.draw(st.integers(min_value=0, max_value=n - 1), label="target")
+    sources = data.draw(masks, label="sources") & ~(1 << target)
+    removed = data.draw(masks, label="removed")
+    uncapped = data.draw(masks, label="uncapped")
+    cap = data.draw(st.sampled_from([None, 1, 2, 3]), label="cap")
+    args = (adj, n, sources, target, removed, uncapped, cap)
+    assert max_disjoint_paths_bits(*args) == max_disjoint_paths_network(*args)
+
+
+def test_augmenting_path_walks_back_through_a_saturated_node() -> None:
+    # The first augmenting path a-x-i-j-t is the shorter one; the second,
+    # from b, enters j, cancels i->j, walks back through i and cancels x->i
+    # so that x can reroute via y-z: two disjoint paths, b-w-w-w-j-t and
+    # a-x-y-z-t.  Nodes: a0 b1 x2 i3 j4 y5 z6 t7 w8 w9 w10.
+    arcs = {0: [2], 1: [8], 2: [3, 5], 3: [4], 4: [7], 5: [6], 6: [7],
+            8: [9], 9: [10], 10: [4]}
+    adj = tuple(sum(1 << j for j in arcs.get(i, ())) for i in range(11))
+    assert max_disjoint_paths_bits(adj, 11, 0b11, 7) == 2
+    assert max_disjoint_paths_network(adj, 11, 0b11, 7) == 2
 
 
 def test_canonical_path_is_shortest_and_lexicographic() -> None:

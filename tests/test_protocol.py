@@ -7,21 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperbft.formats import canonical_json
+import numpy as np
+
 from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
+    random_hypergraph,
     sample_condition_passing,
 )
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.protocol import (
+    ABSENT,
     ADVERSARY_NAMES,
+    Adversary,
     Engine,
     SplitPersonaAdversary,
+    TrailUniverse,
+    flood_records,
     get_engine,
     make_adversary,
     run_scenario,
     sweep_scenarios,
 )
+
+from oracles import flood_records_layered
+
+
+class SwapSilencer(Adversary):
+    """A custom strategy: silent on even channels, the inverted state on the
+    rest; forwards a 0 as 1 and swallows a 1."""
+
+    name = "swap_silencer"
+    forward = (1, None)
+
+    def emit(self, node, gamma, ranks, edge_ids):
+        return np.where(edge_ids % 2 == 0, ABSENT, 1 - gamma).astype(np.int16)
 
 
 def all_inputs(n: int):
@@ -102,6 +122,50 @@ def test_split_persona_accepts_explicit_channel_map() -> None:
     adv = SplitPersonaAdversary(assignment={eids[0]: 1, eids[1]: 0})
     res = run_scenario(g, 1, [0], {0: 0, 1: 0, 2: 1}, adv)
     assert res.terminated
+
+
+def _flood_adversaries(g, faulty):
+    names = [make_adversary(name) for name in ADVERSARY_NAMES]
+    pinned = {e.id: e.id % 2 for w in faulty for e in g.head_edges(w)}
+    return names + [SplitPersonaAdversary(assignment=pinned), SwapSilencer()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
+    g = random_hypergraph(n, m, seed)
+    tu = TrailUniverse(g)
+    nodes = st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n)
+    seeds = data.draw(nodes, label="seeds")
+    faulty = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="faulty"))
+    gamma = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="gamma")
+    for adv in [None] + _flood_adversaries(g, faulty):
+        got = flood_records(tu, seeds, gamma, faulty, adv)
+        want = flood_records_layered(tu, seeds, gamma, faulty, adv)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want), getattr(adv, "name", None)
+
+
+def test_custom_adversary_runs_through_the_engine() -> None:
+    g = complete_p2p(4)
+    res = run_scenario(g, 1, [3], {0: 1, 1: 0, 2: 1, 3: 0}, SwapSilencer())
+    assert res.adversary == "swap_silencer"
+    assert res.terminated and res.agreement and res.validity
+
+
+def test_mask_bit_budget_is_enforced_before_building() -> None:
+    with pytest.raises(ValueError, match="n \\+ 2f = 65"):
+        Engine(cycle_local_broadcast(63), 1)
+    with pytest.raises(ValueError, match="n \\+ 2f = 63"):
+        Engine(cycle_local_broadcast(61), 1)
+    with pytest.raises(ValueError, match="n \\+ 2f = 64"):
+        Engine(cycle_local_broadcast(64), 0)
+    assert len(Engine(DirectedHypergraph(60, []), 1).phases) == 61  # n + 2f = 62 fits
 
 
 def test_unknown_adversary_name_rejected() -> None:
