@@ -3,12 +3,11 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperbft.formats import canonical_json
-import numpy as np
-
 from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
