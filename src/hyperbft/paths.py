@@ -33,8 +33,9 @@ def max_disjoint_paths_bits(
     in-vertex is the sink.  The residual state is held in int bitmasks:
     ``fout[i]`` / ``fin[i]`` are the nodes that i's arcs carry flow to / from,
     ``through`` the capped nodes whose internal arc is full, and ``fed`` the
-    capped sources whose source arc is.  Uncapped nodes never saturate; their
-    internal arc can be walked backwards exactly when flow enters them.
+    capped sources whose source arc is; uncapped nodes never saturate.  An
+    internal arc is walked backwards only when flow enters its node along an
+    arc, as going back along such an arc is the only way on from there.
     """
     if sources_mask >> target_bit & 1:
         raise ValueError("target must not be a source; handle the trivial path upstream")

@@ -654,6 +654,9 @@ class Engine:
         adv = make_adversary(adversary) if isinstance(adversary, str) else adversary
         fkey = (tuple(sorted(fstar)), adv.key)
         gamma = tuple(inputs[v] for v in range(self.g.n))
+        if fstar and not adv.follows_protocol and not set(gamma) <= {0, 1}:
+            # an adversary's forward map is defined on bits only
+            raise ValueError("inputs must be bits when faulty nodes deviate")
         honest = [v for v in range(self.g.n) if v not in fstar]
         start_states = {gamma[v] for v in honest}
 

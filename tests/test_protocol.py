@@ -246,6 +246,13 @@ def test_terminated_is_derived_from_the_run() -> None:
     assert not engine.run([], inputs).terminated
 
 
+def test_deviating_faulty_nodes_need_bit_inputs() -> None:
+    engine = Engine(complete_p2p(4), 1)
+    with pytest.raises(ValueError, match="inputs must be bits"):
+        engine.run([3], {v: 2 for v in range(4)}, "flip_forwarding")
+    assert not engine.run([3], {v: 2 for v in range(4)}, "honest").terminated
+
+
 def test_readme_adversary_names_are_accepted() -> None:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("Adversary library:"):].split("\n\n")[0]
