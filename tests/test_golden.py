@@ -4,6 +4,9 @@ reception logs must not drift.
 The files under ``tests/golden/`` were written by the pure-Python detector;
 any rewrite of the detector or of the split enumeration has to reproduce
 them byte for byte (verdict, witness, and every ``*_checked`` counter).
+The checker corpus digest was taken from the rescan that rebuilt every split
+graph through ``enumerate_lambda``; a rewrite of the split layout or of the
+canonical partition scan has to reproduce all of its reports.
 The reception-log digests were taken from the log builder that rendered
 each log with ``canonical_json``; a rewrite of the log builder has to
 reproduce every log byte for byte.  The simulator digests were taken from
@@ -27,8 +30,11 @@ from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
     path_local_broadcast,
+    random_hypergraph,
+    random_p2p,
     sample_condition_passing,
     sample_condition_violating,
+    sample_undirected_hypergraphs,
 )
 from hyperbft.necessity import build_necessity_executions
 from hyperbft.protocol import SplitPersonaAdversary, _sweep_combos, run_scenario, sweep_scenarios
@@ -61,6 +67,39 @@ CASES = {
 def test_report_bytes_match_golden(name: str) -> None:
     expected = (GOLDEN / f"{name}.json").read_text()
     assert canonical_json(CASES[name]()) == expected
+
+
+def _corpus_graphs():
+    for s in range(6):
+        yield from sample_undirected_hypergraphs(4, 6, s)
+        yield from (g for g, _ in sample_condition_violating(6, 5, 1, seed=s))
+    for n in range(3, 6):
+        for s in range(10):
+            yield random_hypergraph(n, n + s, s)
+            yield random_p2p(n, n + s, s)
+
+
+def _corpus_reports():
+    for g in _corpus_graphs():
+        cls = g.classify
+        for f in (1, 2):
+            yield check_lcr_hyper(g, f)
+            if g.n <= 4 or f == 1:
+                yield check_ab_hyper(g, f)
+            if cls.single_tail:
+                yield check_lcr_p2p(g, f)
+            if cls.single_channel_per_node:
+                yield check_lcr_local(g, f)
+
+
+def test_checker_corpus_matches_golden() -> None:
+    # 577 reports on 132 graphs, 487 of them violated, f in {1, 2}
+    h = hashlib.sha256()
+    for rep in _corpus_reports():
+        h.update(canonical_json(rep).encode())
+    assert h.hexdigest() == (
+        "53522794aeb978a3e395ab13e21d7b2dd8265cbcebb8ee2c1c2d71f7f181650b"
+    )
 
 
 def test_readme_k4_counters() -> None:
