@@ -148,13 +148,7 @@ def simulate(scenario: str, sweep: str | None, as_json: bool) -> None:
     try:
         if sweep is None:
             result = run_scenario(g, f, scn["faulty"], scn["inputs"], scn["adversary"])
-            ok = (
-                result.terminated
-                and result.agreement
-                and result.validity
-                and result.phase_validity_ok
-                and result.exact_phase_agreement_ok
-            )
+            ok = result.ok
             text_out = render_run_result(result)
         else:
             kwargs = {
@@ -169,13 +163,7 @@ def simulate(scenario: str, sweep: str | None, as_json: bool) -> None:
             if sweep in ("adversaries", "all"):
                 kwargs["adversaries"] = None
             result = sweep_scenarios(g, f, **kwargs)
-            ok = (
-                result.all_terminated
-                and result.all_agreement
-                and result.all_validity
-                and result.all_phase_validity
-                and result.all_exact_phase_agreement
-            )
+            ok = not result.failures
             text_out = render_sweep_report(result)
     except ValueError as exc:
         _error(str(exc))

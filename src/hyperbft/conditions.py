@@ -9,13 +9,15 @@ split of every subset of F, and every partition of the split graph's nodes:
   node of B - F' via f+1 node-disjoint paths once B's fault copies are
   removed, or symmetrically with A and B swapped.
 
-The production scan works on bitmasks and skips copy-swapped duplicate splits
-(the predicates are invariant under relabeling a node's two copies); the
-three-part condition is decided with numpy over batches of split graphs.
-When a violation exists, the full split family is rescanned in canonical
-order so the reported witness is the definitional first one.  Reported
-witnesses are always re-verified against the raw set-level definitions
-before being returned.
+The production scan works on bitmasks (``splitting.split_layout``) and skips
+copy-swapped duplicate splits (the predicates are invariant under relabeling
+a node's two copies); the three-part condition is decided with numpy over
+batches of split graphs.  When a violation exists, the violated fault set's
+full split family is rescanned in canonical ``enumerate_lambda`` order, in
+the same batches, and only the first violating split graph is built, so the
+reported witness is the definitional first one.  Reported witnesses are
+always re-verified against the raw set-level definitions before being
+returned.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .paths import count_disjoint_paths, max_disjoint_paths_bits, reach_closure_bits
-from .splitting import SplitHypergraph, enumerate_lambda, lambda_cardinality, split
+from .splitting import (
+    SplitHypergraph,
+    SplitSpec,
+    lambda_cardinality,
+    split,
+    split_layout,
+    split_sets,
+)
 
 LCR = "lcr-hyper"
 AB = "ab-hyper"
@@ -39,8 +48,6 @@ AB = "ab-hyper"
 MAX_LCR_NODES = 26
 # Detector cells (rows x 2^m) per batch of split graphs.
 _BATCH_CELLS = 1 << 16
-# Out-masks are int64.
-_MASK_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,9 @@ def propagates(
 # violation detectors (bitmask level)
 
 
-def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> bool:
-    """Whether some split graph of a batch has a violating (L, C, R) partition.
+def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
+    """The index of the first split graph of a batch that has a violating
+    (L, C, R) partition, or -1 when none has.
 
     ``out_bits`` holds one row of m out-masks per split graph (shape (B, m));
     the rows share m and the fault-copy mask ``fprime``.  Both failing
@@ -148,7 +156,8 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> bool:
         halves = covered.reshape(rows, -1, 2, 1 << i)
         halves[:, :, 1, :] |= halves[:, :, 0, :]
     # covered[:, ::-1][X] is covered[full ^ X]
-    return bool((bad & covered[:, ::-1]).any())
+    hits = np.flatnonzero((bad & covered[:, ::-1]).any(axis=1))
+    return int(hits[0]) if len(hits) else -1
 
 
 def _ab_clause_fails(out_bits: list[int], m: int, fprime: int, f: int, a_mask: int) -> bool:
@@ -189,7 +198,26 @@ def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool
 
 
 # ---------------------------------------------------------------------------
-# canonical-order light enumeration of the split family (copy-swap halved)
+# canonical-order enumeration of the split family
+
+
+def _split_rows(static, slots, m: int):
+    """Yield (first counter, rows) batches over every copy assignment of
+    ``slots`` in counter order: one (B, m) int64 row of out-masks per
+    assignment, starting from ``static``.  A batch fills at most
+    ``_BATCH_CELLS`` cells of the detector's tables (always at least one
+    row)."""
+    total = 1 << len(slots)
+    step = max(1, _BATCH_CELLS >> m)
+    base = np.array(static, dtype=np.int64)
+    for lo in range(0, total, step):
+        counters = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        outs = np.tile(base, (len(counters), 1))
+        for j, (_, b0, b1, tm) in enumerate(slots):
+            on_copy1 = (counters >> j & 1).astype(bool)
+            outs[:, b0] |= np.where(on_copy1, 0, tm)
+            outs[:, b1] |= np.where(on_copy1, tm, 0)
+        yield lo, outs
 
 
 def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
@@ -198,63 +226,21 @@ def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
     ``fault_set``.
 
     ``out_bits`` is a (B, m) int64 array, one row of out-masks per split
-    graph.  The rows of a batch share the split set X, hence m and fprime,
-    and fill at most ``_BATCH_CELLS`` cells of the detector's tables (always
-    at least one row).
-
-    Bit layout: base node bits double as copy-0 bits for split nodes; one
-    extra bit per split node represents copy 1.  The violation predicates are
-    invariant under swapping a node's two copies, so fixing each split node's
-    lowest-id hyperedge on copy 0 loses nothing.
+    graph in the ``split_layout`` numbering.  The rows of a batch share the
+    split set X, hence m and fprime.  The violation predicates are invariant
+    under swapping a node's two copies, so each split node's lowest-id
+    channel is fixed on copy 0 and only the remaining slots vary.
     """
-    order = g.node_order
-    n0 = len(order)
-    bit = g.bit_of
-    fsorted = sorted(fault_set)
-    fmask_base = g.mask_of(fault_set)
-    edge_tail_mask = {e.id: g.mask_of(e.tails) for e in g.edges}
-
-    for rank in range(1 << len(fsorted)):
-        x = [v for i, v in enumerate(fsorted) if rank >> i & 1]
-        xset = frozenset(x)
-        extra_bit = {v: n0 + j for j, v in enumerate(x)}
-        m = n0 + len(x)
-        if m > _MASK_BITS:
-            raise ValueError(f"split graph has {m} nodes; out-masks hold at most {_MASK_BITS}")
-
-        def lift(eid: int, tails: frozenset[int]) -> int:
-            t = edge_tail_mask[eid]
-            for w in tails:
-                if w in xset:
-                    t |= 1 << extra_bit[w]
-            return t
-
-        static = [0] * m
-        for e in g.edges:
-            if e.head not in xset:
-                static[bit[e.head]] |= lift(e.id, e.tails)
-
-        slots = []  # (copy0 bit, copy1 bit, lifted tail mask) per free split-headed edge
-        seen_heads: set[int] = set()
-        for eid in sorted(e.id for v in x for e in g.head_edges(v)):
-            e = g.edge_by_id[eid]
-            if e.head in seen_heads:
-                slots.append((bit[e.head], extra_bit[e.head], lift(eid, e.tails)))
-            else:
-                seen_heads.add(e.head)
-                static[bit[e.head]] |= lift(eid, e.tails)
-        fprime = fmask_base | sum(1 << extra_bit[v] for v in x)
-
-        total = 1 << len(slots)
-        step = max(1, _BATCH_CELLS >> m)
-        for lo in range(0, total, step):
-            counters = np.arange(lo, min(lo + step, total), dtype=np.int64)
-            outs = np.tile(np.array(static, dtype=np.int64), (len(counters), 1))
-            for j, (b0, b1, tm) in enumerate(slots):
-                on_copy1 = (counters >> j & 1).astype(bool)
-                outs[:, b0] |= np.where(on_copy1, 0, tm)
-                outs[:, b1] |= np.where(on_copy1, tm, 0)
-            yield outs, m, fprime
+    for x in split_sets(fault_set):
+        layout = split_layout(g, fault_set, x)
+        # copy-0 bit -> that node's lowest-id slot (reversed: the first one wins)
+        lowest = {slot[1]: slot for slot in reversed(layout.slots)}
+        static = list(layout.static)
+        for _, b0, _, tm in lowest.values():
+            static[b0] |= tm
+        free = [slot for slot in layout.slots if lowest[slot[1]] != slot]
+        for _, outs in _split_rows(static, free, layout.m):
+            yield outs, layout.m, layout.fprime
 
 
 def _split_graph_bits(sh: SplitHypergraph) -> tuple[list[int], int, int]:
@@ -266,10 +252,18 @@ def _split_graph_bits(sh: SplitHypergraph) -> tuple[list[int], int, int]:
 # canonical witness extraction
 
 
-def _canonical_lcr_partition(sh: SplitHypergraph, f: int) -> tuple[int, PartitionLCR]:
-    out, m, fprime = _split_graph_bits(sh)
-    order = sh.graph.node_order
-    full = (1 << m) - 1
+def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int, int]:
+    """The first violating (L, C, R) labelling of the node bits ``bits``.
+
+    Labellings run in ``itertools.product((0, 1, 2))`` order, digit i
+    labelling ``bits[i]``; only the labelled nodes act as heads.  A labelling
+    violates when L and R are non-empty, at most f heads of L u C point into
+    R - F' and at most f heads of R u C point into L - F'.  Returns (index,
+    L mask, C mask, R mask).
+    """
+    universe = 0
+    for b in bits:
+        universe |= 1 << b
 
     def adjacent(heads_mask: int, into_mask: int) -> bool:
         if not into_mask:
@@ -285,40 +279,37 @@ def _canonical_lcr_partition(sh: SplitHypergraph, f: int) -> tuple[int, Partitio
                     return True
         return False
 
-    for idx, digits in enumerate(itertools.product((0, 1, 2), repeat=m)):
-        lm = cm = rm = 0
-        for i, dg in enumerate(digits):
-            b = 1 << i
-            if dg == 0:
-                lm |= b
-            elif dg == 1:
-                cm |= b
-            else:
-                rm |= b
+    for idx, digits in enumerate(itertools.product((0, 1, 2), repeat=len(bits))):
+        masks = [0, 0, 0]
+        for b, dg in zip(bits, digits):
+            masks[dg] |= 1 << b
+        lm, cm, rm = masks
         if not lm or not rm:
             continue
-        if adjacent(full & ~rm, rm & ~fprime):
+        if adjacent(universe & ~rm, rm & ~fprime):
             continue
-        if adjacent(full & ~lm, lm & ~fprime):
+        if adjacent(universe & ~lm, lm & ~fprime):
             continue
-        part = PartitionLCR(
-            frozenset(order[i] for i in range(m) if lm >> i & 1),
-            frozenset(order[i] for i in range(m) if cm >> i & 1),
-            frozenset(order[i] for i in range(m) if rm >> i & 1),
-        )
-        return idx, part
+        return idx, lm, cm, rm
     raise AssertionError("violation vanished during canonical rescan")
+
+
+def _canonical_lcr_partition(sh: SplitHypergraph, f: int) -> tuple[int, PartitionLCR]:
+    out, m, fprime = _split_graph_bits(sh)
+    idx, lm, cm, rm = _first_lcr_labelling(out, fprime, range(m), f)
+    return idx, _lcr_partition(sh.graph, lm, cm, rm)
+
+
+def _lcr_partition(g: DirectedHypergraph, *masks: int) -> PartitionLCR:
+    """The (L, C, R) partition of ``g``'s nodes given by three bitmasks."""
+    return PartitionLCR(*(frozenset(g.nodes_of_mask(mask)) for mask in masks))
 
 
 def _canonical_ab_partition(sh: SplitHypergraph, f: int) -> tuple[int, PartitionAB]:
     out, m, fprime = _split_graph_bits(sh)
-    order = sh.graph.node_order
     full = (1 << m) - 1
     for idx, digits in enumerate(itertools.product((0, 1), repeat=m)):
-        am = 0
-        for i, dg in enumerate(digits):
-            if dg == 0:
-                am |= 1 << i
+        am = sum(1 << i for i, dg in enumerate(digits) if dg == 0)
         bm = full & ~am
         if not am or not bm:
             continue
@@ -326,11 +317,8 @@ def _canonical_ab_partition(sh: SplitHypergraph, f: int) -> tuple[int, Partition
             continue
         if not _ab_clause_fails(out, m, fprime, f, bm):
             continue
-        part = PartitionAB(
-            frozenset(order[i] for i in range(m) if am >> i & 1),
-            frozenset(order[i] for i in range(m) if bm >> i & 1),
-        )
-        return idx, part
+        gp = sh.graph
+        return idx, PartitionAB(frozenset(gp.nodes_of_mask(am)), frozenset(gp.nodes_of_mask(bm)))
     raise AssertionError("violation vanished during canonical rescan")
 
 
@@ -345,19 +333,17 @@ def _partition_base(condition: str) -> int:
 def _partitions_in_family(g: DirectedHypergraph, fault_set: frozenset[int], base: int) -> int:
     """Logical number of partition labelings across the full split family of
     one fault set (used for the deterministic work counters)."""
-    n_nodes = len(g.nodes)
-    fsorted = sorted(fault_set)
-    total = 0
-    for rank in range(1 << len(fsorted)):
-        x = [v for i, v in enumerate(fsorted) if rank >> i & 1]
-        assignments = 1 << sum(len(g.head_edges(v)) for v in x)
-        total += assignments * base ** (n_nodes + len(x))
-    return total
+    return sum(
+        (1 << sum(len(g.head_edges(v)) for v in x)) * base ** (len(g.nodes) + len(x))
+        for x in split_sets(fault_set)
+    )
 
 
-def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> bool:
-    """The reference AB detector over a batch, one split graph at a time."""
-    return any(_ab_split_violated(row, m, fprime, f) for row in np.asarray(out_bits).tolist())
+def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
+    """The reference AB detector over a batch, one split graph at a time:
+    the index of the first violating row, or -1."""
+    rows = np.asarray(out_bits).tolist()
+    return next((i for i, row in enumerate(rows) if _ab_split_violated(row, m, fprime, f)), -1)
 
 
 def _detector(condition: str):
@@ -369,7 +355,7 @@ def _detector(condition: str):
 
 
 def _fault_set_violated(g: DirectedHypergraph, fset: frozenset[int], f: int, detect) -> bool:
-    return any(detect(outs, m, fprime, f) for outs, m, fprime in _light_splits(g, fset))
+    return any(detect(outs, m, fprime, f) >= 0 for outs, m, fprime in _light_splits(g, fset))
 
 
 def _first_violation(
@@ -378,19 +364,34 @@ def _first_violation(
     """Canonical rescan of a violated fault set: the first violating split
     graph in ``enumerate_lambda`` order and its first violating partition.
 
-    Returns (split index, partition index counted across the family, violation).
+    The detector walks every split set's full counter range (no copy-swap
+    halving: the first violating split may put a node's lowest-id channel on
+    copy 1); only the winning split graph is built.  Returns (split index,
+    partition index counted across the family, violation).
     """
     detect = _detector(condition)
     base = _partition_base(condition)
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
-    skipped = 0
-    for idx, sh in enumerate(enumerate_lambda(g, fset)):
-        out, m, fprime = _split_graph_bits(sh)
-        if not detect([out], m, fprime, f):
-            skipped += base ** m
-            continue
-        pidx, part = canonical(sh, f)
-        return idx, skipped + pidx, Violation(fset, sh, part)
+    splits_before = partitions_before = 0
+    for x in split_sets(fset):
+        layout = split_layout(g, fset, x)
+        m = layout.m
+        for lo, outs in _split_rows(layout.static, layout.slots, m):
+            hit = detect(outs, m, layout.fprime, f)
+            if hit < 0:
+                continue
+            counter = lo + hit
+            assignment = {s[0]: counter >> j & 1 for j, s in enumerate(layout.slots)}
+            sh = split(g, fset, SplitSpec.make(x, assignment))
+            pidx, part = canonical(sh, f)
+            return (
+                splits_before + counter,
+                partitions_before + counter * base ** m + pidx,
+                Violation(fset, sh, part),
+            )
+        family = 1 << len(layout.slots)
+        splits_before += family
+        partitions_before += family * base ** m
     raise AssertionError("violation vanished during canonical rescan")
 
 

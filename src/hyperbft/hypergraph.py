@@ -180,12 +180,17 @@ class DirectedHypergraph:
         return out
 
     @cached_property
+    def tail_masks(self) -> tuple[int, ...]:
+        """Per hyperedge, in edge-list order: its tail set as a bitmask."""
+        return tuple(self.mask_of(e.tails) for e in self.edges)
+
+    @cached_property
     def out_union_masks(self) -> tuple[int, ...]:
         """Per bit position: the union of all tail sets of that node's hyperedges."""
         masks = [0] * len(self.node_order)
         bit = self.bit_of
-        for e in self.edges:
-            masks[bit[e.head]] |= self.mask_of(e.tails)
+        for e, t in zip(self.edges, self.tail_masks):
+            masks[bit[e.head]] |= t
         return tuple(masks)
 
     @cached_property

@@ -40,9 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conditions import _MASK_BITS, subsets_by_cardinality
+from .conditions import subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
 from .paths import canonical_path, exists_disjoint_packing, max_disjoint_paths_bits
+from .splitting import _MASK_BITS, SplitLayout, split_layout
 
 ABSENT = -1
 WORKERS_ENV = "HYPERBFT_WORKERS"
@@ -148,30 +149,23 @@ class SplitPersonaAdversary(Adversary):
         return (self.name, tuple(sorted(self.assignment.items())))
 
 
+_ADVERSARIES = {
+    "honest": HonestAdversary,
+    "constant-0": lambda: ConstantAdversary(0),
+    "constant-1": lambda: ConstantAdversary(1),
+    "flip_forwarding": FlipForwardingAdversary,
+    "silent": SilentAdversary,
+    "split_persona": SplitPersonaAdversary,
+}
+
+ADVERSARY_NAMES = tuple(_ADVERSARIES)
+
+
 def make_adversary(name: str) -> Adversary:
-    if name == "honest":
-        return HonestAdversary()
-    if name == "constant-0":
-        return ConstantAdversary(0)
-    if name == "constant-1":
-        return ConstantAdversary(1)
-    if name == "flip_forwarding":
-        return FlipForwardingAdversary()
-    if name == "silent":
-        return SilentAdversary()
-    if name == "split_persona":
-        return SplitPersonaAdversary()
-    raise ValueError(f"unknown adversary {name!r}")
-
-
-ADVERSARY_NAMES = (
-    "honest",
-    "constant-0",
-    "constant-1",
-    "flip_forwarding",
-    "silent",
-    "split_persona",
-)
+    factory = _ADVERSARIES.get(name)
+    if factory is None:
+        raise ValueError(f"unknown adversary {name!r}")
+    return factory()
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +330,10 @@ class PhaseData:
     nfs: frozenset[int]
     seeds_b: frozenset[int]
     f_sorted: tuple[int, ...]
-    f_edges: tuple[tuple[int, int], ...]        # (faulty head, edge id)
+    f_edges: tuple[tuple[int, int], ...]        # (faulty head, edge id), in slot order
     cpath_f: dict[int, dict[tuple[int, int], int | None]]
     cpath_s: dict[int, dict[int, int | None]]
-    split_m: int
-    split_static: tuple[int, ...]
-    split_fprime: int
-    extra_bit: dict[int, int]
-    lifted_tails: dict[int, int]
+    layout: SplitLayout                         # every node of F split
     cand_d: dict[int, np.ndarray]
     cand_f: dict[int, np.ndarray]
     updaters_f: tuple[int, ...]
@@ -354,15 +344,15 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     reduced = g.remove_nodes(fset)
     sources = reduced.source_components
     source = frozenset(sources[0]) if len(sources) == 1 else None
+    f_sorted = tuple(sorted(fset))
+    layout = split_layout(g, fset, fset)
     if source is None:
         return PhaseData(
-            fset, None, frozenset(), frozenset(), tuple(sorted(fset)), (),
-            {}, {}, 0, (), 0, {}, {}, {}, {}, (),
+            fset, None, frozenset(), frozenset(), f_sorted, (), {}, {}, layout, {}, {}, (),
         )
     nfs = frozenset(g.in_neighborhood(fset, source))
     seeds_b = source | nfs
-    f_sorted = tuple(sorted(fset))
-    f_edges = tuple((u, e.id) for u in f_sorted for e in g.head_edges(u))
+    f_edges = tuple((g.edge_by_id[eid].head, eid) for eid, _, _, _ in layout.slots)
 
     cpath_f: dict[int, dict[tuple[int, int], int | None]] = {}
     cpath_s: dict[int, dict[int, int | None]] = {}
@@ -381,55 +371,25 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
             per_s[u] = None if path is None else tu.tid(u, path)
         cpath_s[v] = per_s
 
-    # split graph layout: base bits double as copy 0, one extra bit per F node
-    n0 = len(g.node_order)
-    extra_bit = {u: n0 + i for i, u in enumerate(f_sorted)}
-    split_m = n0 + len(f_sorted)
-    lifted_tails: dict[int, int] = {}
-    for e in g.edges:
-        t = g.mask_of(e.tails)
-        for w in e.tails:
-            if w in fset:
-                t |= 1 << extra_bit[w]
-        lifted_tails[e.id] = t
-    static = [0] * split_m
-    for e in g.edges:
-        if e.head not in fset:
-            static[bit[e.head]] |= lifted_tails[e.id]
-    split_fprime = g.mask_of(fset) | sum(1 << extra_bit[u] for u in f_sorted)
+    def candidates(v: int, avoid: int, origins: int) -> np.ndarray:
+        """Trails received by v with no transmitter in ``avoid`` and an
+        origin in ``origins``."""
+        tids = tu.receives[v]
+        origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
+        return tids[((tu.tmask[tids] & avoid) == 0) & ((origin_bits & origins) != 0)]
 
-    fmask = g.mask_of(fset)
-    smask = g.mask_of(source)
-    seeds_mask = g.mask_of(seeds_b)
     # step (d) candidates: trails ending at v whose origin could sit on the
     # adopting side's complement; the receiving node itself must not appear
     # mid-trail, or the underlying path would visit it twice.
-    cand_d: dict[int, np.ndarray] = {}
-    for v in sorted(source):
-        tids = tu.receives[v]
-        if len(tids) == 0:
-            cand_d[v] = tids
-            continue
-        tm = tu.tmask[tids]
-        ok = (tm & (1 << bit[v])) == 0
-        origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
-        ok &= (origin_bits & seeds_mask) != 0
-        cand_d[v] = tids[ok]
+    seeds_mask = g.mask_of(seeds_b)
+    cand_d = {v: candidates(v, 1 << bit[v], seeds_mask) for v in sorted(source)}
+    # step (f) candidates: trails from S that avoid F and v itself
+    fmask = g.mask_of(fset)
+    smask = g.mask_of(source)
     updaters_f = tuple(v for v in g.node_order if v not in source and v not in fset)
-    cand_f: dict[int, np.ndarray] = {}
-    for v in updaters_f:
-        tids = tu.receives[v]
-        if len(tids) == 0:
-            cand_f[v] = tids
-            continue
-        tm = tu.tmask[tids]
-        ok = (tm & (fmask | (1 << bit[v]))) == 0
-        origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
-        ok &= (origin_bits & smask) != 0
-        cand_f[v] = tids[ok]
+    cand_f = {v: candidates(v, fmask | 1 << bit[v], smask) for v in updaters_f}
     return PhaseData(
-        fset, source, nfs, seeds_b, f_sorted, f_edges, cpath_f, cpath_s,
-        split_m, tuple(static), split_fprime, extra_bit, lifted_tails,
+        fset, source, nfs, seeds_b, f_sorted, f_edges, cpath_f, cpath_s, layout,
         cand_d, cand_f, updaters_f,
     )
 
@@ -460,6 +420,12 @@ class RunResult:
     phase_validity_ok: bool
     exact_phase_agreement_ok: bool
     phases: tuple[PhaseOutcome, ...]
+
+    @property
+    def ok(self) -> bool:
+        """Every verdict of the run holds."""
+        return all((self.terminated, self.agreement, self.validity,
+                    self.phase_validity_ok, self.exact_phase_agreement_ok))
 
 
 class Engine:
@@ -496,8 +462,8 @@ class Engine:
         g = self.g
         tu = self.tu
         bit = g.bit_of
+        copy1 = ph.layout.copy1
         nfs_sorted = sorted(ph.nfs)
-        f_index = {u: i for i, u in enumerate(ph.f_sorted)}
 
         # step (c): per-channel copy assignment from traced values
         side_of_edge = np.full(tu.max_edge_id + 2, -1, dtype=np.int8)
@@ -511,7 +477,7 @@ class Engine:
         zmask = 0
         for u in nfs_sorted:
             zmask |= 1 << bit[u]  # copy 0 of a helper node starts in Z
-        nmask = sum(1 << ph.extra_bit[u] for u in nfs_sorted)
+        nmask = sum(1 << copy1[bit[u]] for u in nfs_sorted)
         for u in sorted(ph.source):
             if u == v:
                 received0 = own_gamma == 0
@@ -555,8 +521,9 @@ class Engine:
         for u in nfs_sorted:
             orig_is_helper |= origins == u
         ok_origin = np.where(orig_is_helper, first_sides == need_side, orig_in_s)
-        base_masks = (tu.tmask[cand] & ~g.mask_of(ph.fault_set)).astype(np.int64)
-        extra = np.zeros(len(cand), dtype=np.int64)
+        # transmitters as split-graph bits: a faulty transmitter on copy 1
+        # moves from its base bit to its copy-1 bit
+        masks_all = tu.tmask[cand]
         ok_sides = np.ones(len(cand), dtype=bool)
         for u in ph.f_sorted:
             col = self.edge_used[u][cand]
@@ -566,9 +533,8 @@ class Engine:
             sides = np.where(visited, side_of_edge[np.where(visited, col, 0)], 0)
             if u in ph.nfs:
                 ok_sides &= ~visited | (sides == need_side)
-            sbit = np.int64(1) << (g.n + 2 * f_index[u] + sides.astype(np.int64))
-            extra |= np.where(visited, sbit, 0)
-        masks_all = base_masks | extra
+            moved = np.int64((1 << bit[u]) | (1 << copy1[bit[u]]))
+            masks_all = np.where(sides == 1, masks_all ^ moved, masks_all)
         for b in (0, 1):
             sel = (eff == b) & ok_origin & ok_sides
             if int(sel.sum()) < self.f + 1:
@@ -581,21 +547,17 @@ class Engine:
     def _propagates(self, ph: PhaseData, sides: int, zmask: int, nmask: int) -> bool:
         """Whether Z reaches every node of N - F' along f+1 node-disjoint
         paths in the split graph whose fault channels go to copy 0 or copy 1
-        by the bits of ``sides`` (one per entry of ``ph.f_edges``), with N's
+        by the bits of ``sides`` (one per slot of ``ph.layout``), with N's
         fault copies removed."""
-        bit = self.g.bit_of
-        out_bits = list(ph.split_static)
-        for i, (u, eid) in enumerate(ph.f_edges):
-            b = ph.extra_bit[u] if sides >> i & 1 else bit[u]
-            out_bits[b] |= ph.lifted_tails[eid]
-        fprime = ph.split_fprime
+        out_bits = ph.layout.out_masks(sides)
+        fprime = ph.layout.fprime
         removed = nmask & fprime
         t = nmask & ~fprime
         while t:
             low = t & -t
             t ^= low
             paths = max_disjoint_paths_bits(
-                out_bits, ph.split_m, zmask, low.bit_length() - 1, removed, 0, self.f + 1
+                out_bits, ph.layout.m, zmask, low.bit_length() - 1, removed, 0, self.f + 1
             )
             if paths < self.f + 1:
                 return False
@@ -785,30 +747,25 @@ def sweep_scenarios(
 
     With an empty fault set every adversary acts identically, so that slice
     runs once under the honest rule.  Worker count comes from the argument or
-    the HYPERBFT_WORKERS environment variable; results are assembled in the
+    the HYPERBFT_WORKERS environment variable (a positive integer), capped at
+    the CPU count and the number of runs; results are assembled in the
     deterministic combo order either way.
     """
     combos = list(_sweep_combos(g, f, faulty_sets, adversaries, input_choices))
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+        raw = os.environ.get(WORKERS_ENV, "1") or "1"
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+        workers = int(raw)
+    workers = min(workers, os.cpu_count() or 1, len(combos))
     results: list[RunResult]
-    if workers > 1 and len(combos) > 1:
+    if workers > 1:
         args = [(g, f, fset, adv, inputs) for fset, adv, inputs in combos]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_combo, args, chunksize=64))
     else:
         results = [run_scenario(g, f, fset, dict(inputs), adv) for fset, adv, inputs in combos]
-    failures = tuple(
-        r
-        for r in results
-        if not (
-            r.terminated
-            and r.agreement
-            and r.validity
-            and r.phase_validity_ok
-            and r.exact_phase_agreement_ok
-        )
-    )
+    failures = tuple(r for r in results if not r.ok)
     return SweepReport(
         f=f,
         runs=len(results),

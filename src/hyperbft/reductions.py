@@ -22,7 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .conditions import PartitionLCR, _lcr_split_violated, check_lcr_hyper, subsets_by_cardinality
+from .conditions import (
+    PartitionLCR,
+    _first_lcr_labelling,
+    _lcr_partition,
+    _lcr_split_violated,
+    check_lcr_hyper,
+    subsets_by_cardinality,
+)
 from .hypergraph import DirectedHypergraph, SimpleDigraph
 from .paths import internally_disjoint_undirected
 
@@ -64,87 +71,42 @@ def _p2p_masks(g: DirectedHypergraph, fmask: int) -> list[int]:
 def check_lcr_p2p(g: DirectedHypergraph, f: int) -> ReducedReport:
     """Three-part condition over partitions (L, C, R) of V - F: either R u C
     has f+1 heads into L or L u C has f+1 heads into R, in the full graph."""
-    m = len(g.node_order)
-    fault_sets = 0
-    partitions = 0
-    for fset in subsets_by_cardinality(g.nodes, f):
-        fault_sets += 1
-        fmask = g.mask_of(fset)
-        out = _p2p_masks(g, fmask)
-        if not _lcr_split_violated([out], m, fmask, f):
-            partitions += 3 ** (m - len(fset))
-            continue
-        u_nodes = [v for v in g.node_order if v not in fset]
-        pidx, part = _first_lcr_partition(g, u_nodes, fset, f, targets_minus_f=False)
-        return ReducedReport(
-            P2P, f, False, fault_sets, partitions + pidx + 1,
-            ReducedViolation(fset, part),
-        )
-    return ReducedReport(P2P, f, True, fault_sets, partitions, None)
+    return _check_reduced(g, f, P2P)
 
 
 def check_lcr_local(g: DirectedHypergraph, f: int) -> ReducedReport:
     """Three-part condition over partitions (L, C, R) of all of V: either
     R u C has f+1 heads into L - F or L u C has f+1 heads into R - F."""
+    return _check_reduced(g, f, LOCAL)
+
+
+def _check_reduced(g: DirectedHypergraph, f: int, condition: str) -> ReducedReport:
+    """Either reduced condition, over every fault set of size <= f.
+
+    p2p labels the nodes of V - F with out-masks that drop faulty heads and
+    targets; local labels all of V with the plain out-masks.  Heads and
+    targets of a p2p labelling lie in V - F, where both masks agree."""
     m = len(g.node_order)
     fault_sets = 0
     partitions = 0
     for fset in subsets_by_cardinality(g.nodes, f):
         fault_sets += 1
         fmask = g.mask_of(fset)
-        out = list(g.out_union_masks)
-        if not _lcr_split_violated([out], m, fmask, f):
-            partitions += 3 ** m
+        if condition == P2P:
+            out = _p2p_masks(g, fmask)
+            bits = [i for i in range(m) if not fmask >> i & 1]
+        else:
+            out = list(g.out_union_masks)
+            bits = list(range(m))
+        if _lcr_split_violated([out], m, fmask, f) < 0:
+            partitions += 3 ** len(bits)
             continue
-        pidx, part = _first_lcr_partition(g, list(g.node_order), fset, f, targets_minus_f=True)
+        pidx, *masks = _first_lcr_labelling(out, fmask, bits, f)
         return ReducedReport(
-            LOCAL, f, False, fault_sets, partitions + pidx + 1,
-            ReducedViolation(fset, part),
+            condition, f, False, fault_sets, partitions + pidx + 1,
+            ReducedViolation(fset, _lcr_partition(g, *masks)),
         )
-    return ReducedReport(LOCAL, f, True, fault_sets, partitions, None)
-
-
-def _first_lcr_partition(
-    g: DirectedHypergraph,
-    universe: list[int],
-    fset: frozenset[int],
-    f: int,
-    targets_minus_f: bool,
-) -> tuple[int, PartitionLCR]:
-    """First violating (L, C, R) labeling of ``universe`` in canonical order."""
-    bit = g.bit_of
-    out = g.out_union_masks
-    fmask = g.mask_of(fset)
-
-    def adjacent(heads: list[int], into_mask: int) -> bool:
-        if not into_mask:
-            return True
-        count = 0
-        for u in heads:
-            if out[bit[u]] & into_mask:
-                count += 1
-                if count > f:
-                    return True
-        return False
-
-    k = len(universe)
-    for idx, digits in enumerate(itertools.product((0, 1, 2), repeat=k)):
-        left = [universe[i] for i in range(k) if digits[i] == 0]
-        center = [universe[i] for i in range(k) if digits[i] == 1]
-        right = [universe[i] for i in range(k) if digits[i] == 2]
-        if not left or not right:
-            continue
-        lmask = g.mask_of(left)
-        rmask = g.mask_of(right)
-        if targets_minus_f:
-            lmask &= ~fmask
-            rmask &= ~fmask
-        if adjacent(right + center, lmask):
-            continue
-        if adjacent(left + center, rmask):
-            continue
-        return idx, PartitionLCR(frozenset(left), frozenset(center), frozenset(right))
-    raise AssertionError("violation vanished during canonical rescan")
+    return ReducedReport(condition, f, True, fault_sets, partitions, None)
 
 
 # ---------------------------------------------------------------------------

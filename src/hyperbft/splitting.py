@@ -4,6 +4,7 @@ Splitting a node v yields copies v0 and v1.  Every hyperedge that had v among
 its tails now reaches both copies; every hyperedge headed by v is assigned to
 exactly one copy.  The family of all splits of all subsets of a candidate
 fault set F captures every way faulty nodes could present two personas.
+``split_layout`` is the bitmask form that the checker and the simulator read.
 """
 
 from __future__ import annotations
@@ -132,32 +133,97 @@ def split(g: DirectedHypergraph, fault_set: Iterable[int], spec: SplitSpec) -> S
     return SplitHypergraph(g, fset, spec, graph, origin, f_prime)
 
 
+def split_sets(fault_set: Iterable[int]) -> Iterator[list[int]]:
+    """Every subset of the fault set, sorted, in subset-rank order over the
+    sorted fault set (the empty set first)."""
+    fsorted = sorted(frozenset(fault_set))
+    for rank in range(1 << len(fsorted)):
+        yield [v for i, v in enumerate(fsorted) if rank >> i & 1]
+
+
 def enumerate_lambda(g: DirectedHypergraph, fault_set: Iterable[int]) -> Iterator[SplitHypergraph]:
     """All splits of all subsets of the fault set, in canonical order.
 
-    Subsets are enumerated by subset rank over the sorted fault set (the empty
-    split first); for each subset, copy assignments run through a binary
-    counter over that subset's hyperedge ids in ascending order (counter bit j
-    picks the copy for the j-th edge).  Copy-swapped duplicates are kept, so
-    the family size matches ``lambda_cardinality``.
+    Subsets come in ``split_sets`` order (the empty split first); for each
+    subset, copy assignments run through a binary counter over that subset's
+    hyperedge ids in ascending order (counter bit j picks the copy for the
+    j-th edge).  Copy-swapped duplicates are kept, so the family size matches
+    ``lambda_cardinality``.
     """
-    fsorted = sorted(frozenset(fault_set))
-    for rank in range(1 << len(fsorted)):
-        x = frozenset(v for i, v in enumerate(fsorted) if rank >> i & 1)
+    fset = frozenset(fault_set)
+    for x in split_sets(fset):
         slots = sorted(e.id for v in x for e in g.head_edges(v))
         for counter in range(1 << len(slots)):
             assignment = {eid: (counter >> j) & 1 for j, eid in enumerate(slots)}
-            yield split(g, fsorted, SplitSpec.make(x, assignment))
+            yield split(g, fset, SplitSpec.make(x, assignment))
 
 
 def lambda_cardinality(g: DirectedHypergraph, fault_set: Iterable[int]) -> int:
     """Family size: sum over subsets X of prod over v in X of 2^(edges headed by v)."""
-    fsorted = sorted(frozenset(fault_set))
-    total = 0
-    for rank in range(1 << len(fsorted)):
-        x = [v for i, v in enumerate(fsorted) if rank >> i & 1]
-        total += 1 << sum(len(g.head_edges(v)) for v in x)
-    return total
+    return sum(1 << sum(len(g.head_edges(v)) for v in x) for x in split_sets(fault_set))
+
+
+# Out-masks are int64.
+_MASK_BITS = 62
+
+
+@dataclass(frozen=True)
+class SplitLayout:
+    """The bitmask form of the split graphs of one split set X of a fault set.
+
+    Base node bits double as copy-0 bits; the k-th node of sorted X gets bit
+    n + k (n base nodes) for its copy 1.  ``static`` holds the out-masks of
+    heads outside X; ``slots`` lists every channel headed in X, by ascending
+    id, as (channel id, copy-0 bit, copy-1 bit, tail mask); tails in X are
+    lifted onto both copies.  Bit j of an assignment counter puts slot j on
+    copy 1, as in ``enumerate_lambda`` (whose graphs number nodes otherwise).
+    ``fprime`` holds F's unsplit nodes and both copies of every node of X.
+    """
+
+    m: int
+    fprime: int
+    static: tuple[int, ...]
+    slots: tuple[tuple[int, int, int, int], ...]
+
+    @cached_property
+    def copy1(self) -> dict[int, int]:
+        """Copy-0 bit -> copy-1 bit of every node of X that heads a channel."""
+        return {b0: b1 for _, b0, b1, _ in self.slots}
+
+    def out_masks(self, counter: int) -> list[int]:
+        """The out-masks of the split graph with assignment ``counter``."""
+        out = list(self.static)
+        for j, (_, b0, b1, t) in enumerate(self.slots):
+            out[b1 if counter >> j & 1 else b0] |= t
+        return out
+
+
+def split_layout(
+    g: DirectedHypergraph, fault_set: Iterable[int], x: Iterable[int]
+) -> SplitLayout:
+    """The bit layout of the splits of ``x``, a subset of ``fault_set``."""
+    xs = sorted(x)
+    n0 = len(g.node_order)
+    m = n0 + len(xs)
+    if m > _MASK_BITS:
+        raise ValueError(f"split graph has {m} nodes; out-masks hold at most {_MASK_BITS}")
+    bit = g.bit_of
+    copies = {bit[v]: n0 + k for k, v in enumerate(xs)}
+    static = [0] * m
+    slots = []
+    for e, t in zip(g.edges, g.tail_masks):
+        for b0, b1 in copies.items():
+            t |= (t >> b0 & 1) << b1
+        head = bit[e.head]
+        if head in copies:
+            slots.append((e.id, head, copies[head], t))
+        else:
+            static[head] |= t
+    slots.sort()
+    fprime = g.mask_of(fault_set)
+    for b1 in copies.values():
+        fprime |= 1 << b1
+    return SplitLayout(m, fprime, tuple(static), tuple(slots))
 
 
 def collapse(sh: SplitHypergraph) -> DirectedHypergraph:

@@ -12,6 +12,10 @@ renders each copy's log as ``canonical_json`` of its sorted entries.
 bitmask max-flow replaced, and ``flood_records_layered`` evaluates a flood
 one trail length at a time, applying the adversary's forward map at every
 faulty hop, where the library evaluates it in closed form.
+``first_violation_rebuilding`` is the canonical witness rescan that builds
+every split graph of ``enumerate_lambda`` in turn and decides each alone,
+where the library runs the detector over layout rows in batches and builds
+only the winning split graph.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from collections import deque
 
 import numpy as np
 
+from hyperbft import conditions
 from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
@@ -224,6 +229,27 @@ def simple_ab_check(g: DirectedHypergraph, f: int) -> bool:
                 if not forward and not backward:
                     return False
     return True
+
+
+def first_violation_rebuilding(g: DirectedHypergraph, fset, f: int, condition: str):
+    """(split index, partition index, violation) of a violated fault set:
+    the first violating split graph in ``enumerate_lambda`` order, each one
+    built and decided on its own, and its first violating partition."""
+    detect = conditions._detector(condition)
+    base = conditions._partition_base(condition)
+    if condition == conditions.LCR:
+        canonical = conditions._canonical_lcr_partition
+    else:
+        canonical = conditions._canonical_ab_partition
+    skipped = 0
+    for idx, sh in enumerate(enumerate_lambda(g, fset)):
+        out, m, fprime = conditions._split_graph_bits(sh)
+        if detect([out], m, fprime, f) < 0:
+            skipped += base ** m
+            continue
+        pidx, part = canonical(sh, f)
+        return idx, skipped + pidx, conditions.Violation(frozenset(fset), sh, part)
+    raise AssertionError("no violating split graph")
 
 
 def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) -> bool:

@@ -142,6 +142,14 @@ def test_simulate_bad_scenario_exits_one(runner, tmp_path) -> None:
     assert res.exit_code == 1
 
 
+def test_simulate_sweep_refuses_a_bad_worker_count(runner, tmp_path, monkeypatch) -> None:
+    path = scenario_file(tmp_path, complete_p2p(3), [0], {v: 0 for v in range(3)}, "honest")
+    monkeypatch.setenv("HYPERBFT_WORKERS", "four")
+    res = invoke(runner, "simulate", path, "--sweep", "inputs")
+    assert res.exit_code == 1
+    assert "HYPERBFT_WORKERS must be a positive integer, got 'four'" in res.output
+
+
 def test_simulate_refuses_graphs_past_the_mask_bit_budget(runner, tmp_path) -> None:
     g = cycle_local_broadcast(64)
     path = scenario_file(tmp_path, g, [], {v: 0 for v in range(64)}, "honest")

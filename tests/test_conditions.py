@@ -6,10 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperbft import conditions
 from hyperbft.conditions import (
     AB,
     LCR,
     MAX_LCR_NODES,
+    _detector,
+    _fault_set_violated,
+    _first_violation,
     _lcr_split_violated,
     check_ab_hyper,
     check_lcr_hyper,
@@ -27,7 +31,12 @@ from hyperbft.generators import (
 )
 from hyperbft.hypergraph import DirectedHypergraph
 
-from oracles import lcr_split_violated_loop, simple_ab_check, simple_lcr_check
+from oracles import (
+    first_violation_rebuilding,
+    lcr_split_violated_loop,
+    simple_ab_check,
+    simple_lcr_check,
+)
 
 
 def small_graphs(max_n: int = 4, max_m: int = 8):
@@ -165,9 +174,10 @@ def detector_batches(draw):
 def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
     rows, m, fprime, f = case
     expected = [lcr_split_violated_loop(row, m, fprime, f) for row in rows]
-    assert _lcr_split_violated(rows, m, fprime, f) == any(expected)
+    first = expected.index(True) if any(expected) else -1
+    assert _lcr_split_violated(rows, m, fprime, f) == first
     for row, want in zip(rows, expected):
-        assert _lcr_split_violated([row], m, fprime, f) == want
+        assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
 
 
 def test_oversized_split_graph_is_refused_before_allocating() -> None:
@@ -183,3 +193,45 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="out-masks hold at most 62"):
         check_ab_hyper(cycle_local_broadcast(63), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from((LCR, AB)),
+)
+def test_first_violation_matches_the_rebuilding_oracle(n, channels, seed, f, condition) -> None:
+    if condition == AB:
+        n = min(n, 4)
+    g = random_hypergraph(n, channels, seed, max_tail_size=2)
+    for fset in subsets_by_cardinality(g.nodes, f):
+        if _fault_set_violated(g, fset, f, _detector(condition)):
+            assert _first_violation(g, fset, f, condition) == first_violation_rebuilding(
+                g, fset, f, condition
+            )
+
+
+@pytest.mark.parametrize(
+    "g, fset, condition, split_index",
+    [
+        (random_hypergraph(5, 12, 125, max_tail_size=2), {1}, LCR, 19),
+        (random_hypergraph(4, 10, 238, max_tail_size=2), {0}, LCR, 9),
+        (random_hypergraph(4, 10, 238, max_tail_size=2), {0}, AB, 9),
+    ],
+    ids=["n5-lcr", "n4-lcr", "n4-ab"],
+)
+def test_rescan_builds_only_the_winning_split(monkeypatch, g, fset, condition, split_index) -> None:
+    built = []
+    real_split = conditions.split
+    monkeypatch.setattr(conditions, "split", lambda *args: built.append(args) or real_split(*args))
+    idx, _, violation = _first_violation(g, frozenset(fset), 1, condition)
+    # the rebuilding rescan built split_index + 1 split graphs here
+    assert idx == split_index
+    assert len(built) == 1
+    built.clear()
+    holds, witness = check_with_fault_set(g, fset, 1, condition)
+    assert not holds and witness == violation
+    assert len(built) == 1

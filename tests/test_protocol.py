@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import json
 import re
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperbft import protocol
 from hyperbft.formats import canonical_json
 from hyperbft.generators import (
     complete_p2p,
@@ -217,6 +220,74 @@ def test_worker_env_variable_controls_pool(monkeypatch) -> None:
     env_rep = sweep_scenarios(g, 1)
     monkeypatch.delenv("HYPERBFT_WORKERS")
     assert canonical_json(env_rep) == canonical_json(sweep_scenarios(g, 1, workers=1))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the requested pool size and
+    maps in this process, so no worker is ever started."""
+
+    def __init__(self, sizes: list[int], max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_worker_count_is_clamped_to_cpus_and_runs(monkeypatch) -> None:
+    sizes: list[int] = []
+
+    def pool(max_workers: int) -> RecordingPool:
+        return RecordingPool(sizes, max_workers)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
+    g = complete_p2p(3)
+    two_runs = {"faulty_sets": [()], "input_choices": [{0: 0, 1: 0, 2: 0}, {0: 1, 1: 1, 2: 1}]}
+    monkeypatch.setenv("HYPERBFT_WORKERS", "1000000")
+    full = sweep_scenarios(g, 1)
+    sweep_scenarios(g, 1, **two_runs)
+    monkeypatch.setenv("HYPERBFT_WORKERS", "3")
+    sweep_scenarios(g, 1)
+    monkeypatch.delenv("HYPERBFT_WORKERS")
+    sweep_scenarios(g, 1, workers=1000000)
+    sweep_scenarios(g, 1)                   # default: sequential, no pool
+    assert sizes == [4, 2, 3, 4]
+    assert canonical_json(full) == canonical_json(sweep_scenarios(g, 1, workers=1))
+
+
+@pytest.mark.parametrize("value", ["four", "2.5", "0", "-3"])
+def test_bad_worker_counts_are_refused(monkeypatch, value: str) -> None:
+    monkeypatch.setenv("HYPERBFT_WORKERS", value)
+    with pytest.raises(ValueError, match="HYPERBFT_WORKERS must be a positive integer"):
+        sweep_scenarios(complete_p2p(3), 1)
+
+
+def test_run_ok_is_the_conjunction_of_its_verdicts() -> None:
+    g = complete_p2p(3)
+    rep = sweep_scenarios(g, 1)
+    assert rep.failures
+    for inputs in itertools.product((0, 1), repeat=3):
+        for adv in ADVERSARY_NAMES:
+            r = run_scenario(g, 1, [0], dict(enumerate(inputs)), adv)
+            assert r.ok == (
+                r.terminated and r.agreement and r.validity
+                and r.phase_validity_ok and r.exact_phase_agreement_ok
+            )
+            assert r.ok == (r not in rep.failures)
+    assert "ok" not in json.loads(canonical_json(rep.failures[0]))
+
+
+def test_adversary_names_follow_the_factory_table() -> None:
+    assert ADVERSARY_NAMES == (
+        "honest", "constant-0", "constant-1", "flip_forwarding", "silent", "split_persona",
+    )
+    assert [make_adversary(name).name for name in ADVERSARY_NAMES] == list(ADVERSARY_NAMES)
 
 
 @settings(max_examples=6, deadline=None)

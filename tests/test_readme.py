@@ -1,9 +1,16 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour and command lines run as written."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from hyperbft.cli import main
+from hyperbft.formats import serialize_topology
+from hyperbft.generators import complete_p2p, cycle_local_broadcast
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +21,23 @@ def test_readme_quick_tour_runs() -> None:
     block = re.search(r"```python\n(.*?)```", section, re.S)
     assert block is not None
     exec(compile(block.group(1), f"{README}:quick tour", "exec"), {})
+
+
+def test_readme_cli_snippets(tmp_path, monkeypatch) -> None:
+    """Every ``hyperbft generate``, ``check`` and ``crossval`` line of the
+    README's shell blocks, in README order, exits 0 or 2 (never 1, the
+    usage-error code).  ``union a.txt b.txt`` reads two topologies the
+    reader supplies; the test writes them first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text(serialize_topology(complete_p2p(3)))
+    (tmp_path / "b.txt").write_text(serialize_topology(cycle_local_broadcast(3)))
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["hyperbft"] and argv[1] in ("generate", "check", "crossval"):
+                commands.append(argv[1:])
+    assert {argv[0] for argv in commands} == {"generate", "check", "crossval"}
+    for argv in commands:
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code in (0, 2), (argv, res.output)
