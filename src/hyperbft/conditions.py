@@ -309,7 +309,10 @@ def _canonical_ab_partition(sh: SplitHypergraph, f: int) -> tuple[int, Partition
     out, m, fprime = _split_graph_bits(sh)
     full = (1 << m) - 1
     for idx, digits in enumerate(itertools.product((0, 1), repeat=m)):
-        am = sum(1 << i for i, dg in enumerate(digits) if dg == 0)
+        am = 0
+        for i, dg in enumerate(digits):
+            if dg == 0:
+                am |= 1 << i
         bm = full & ~am
         if not am or not bm:
             continue
