@@ -9,15 +9,15 @@ split of every subset of F, and every partition of the split graph's nodes:
   node of B - F' via f+1 node-disjoint paths once B's fault copies are
   removed, or symmetrically with A and B swapped.
 
-The production scan works on bitmasks (``splitting.split_layout``) and skips
-copy-swapped duplicate splits (the predicates are invariant under relabeling
-a node's two copies); the three-part condition is decided with numpy over
-batches of split graphs.  When a violation exists, the violated fault set's
-full split family is rescanned in canonical ``enumerate_lambda`` order, in
-the same batches, and only the first violating split graph is built, so the
-reported witness is the definitional first one.  Reported witnesses are
-always re-verified against the raw set-level definitions before being
-returned.
+The production scan works on bitmasks (``splitting.split_layout``) and
+visits one split graph of every copy-swap class (the predicates are invariant
+under relabeling a node's two copies): the one that keeps each split node's
+highest-id channel on copy 0, which is also the class's first in canonical
+``enumerate_lambda`` order.  The three-part condition is decided with numpy
+over batches of split graphs.  So one pass over a fault set's halved family
+both decides it and finds its definitional first violating split graph,
+which is the only one built.  Reported witnesses are always re-verified
+against the raw set-level definitions before being returned.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import DirectedHypergraph
-from .paths import count_disjoint_paths, max_disjoint_paths_bits, reach_closure_bits
+from .paths import count_disjoint_paths, propagates_bits
 from .splitting import (
     SplitHypergraph,
+    SplitLayout,
     SplitSpec,
-    lambda_cardinality,
     split,
     split_layout,
     split_sets,
@@ -163,22 +163,8 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
 def _ab_clause_fails(out_bits: list[int], m: int, fprime: int, f: int, a_mask: int) -> bool:
     """Whether side A fails to (f+1)-propagate to (V'-A)-F' once the fault
     copies outside A are removed."""
-    full = (1 << m) - 1
-    removed = fprime & ~a_mask
-    targets = (full & ~a_mask) & ~fprime
-    if not targets:
-        return False
-    reach = reach_closure_bits(out_bits, a_mask, removed)
-    if targets & ~reach:
-        return True
-    t = targets
-    while t:
-        low = t & -t
-        t ^= low
-        v = low.bit_length() - 1
-        if max_disjoint_paths_bits(out_bits, m, a_mask, v, removed, 0, f + 1) < f + 1:
-            return True
-    return False
+    targets = ((1 << m) - 1) & ~a_mask & ~fprime
+    return not propagates_bits(out_bits, m, a_mask, targets, fprime & ~a_mask, f + 1)
 
 
 def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool:
@@ -198,49 +184,47 @@ def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool
 
 
 # ---------------------------------------------------------------------------
-# canonical-order enumeration of the split family
+# the copy-swap-halved split family
 
 
-def _split_rows(static, slots, m: int):
-    """Yield (first counter, rows) batches over every copy assignment of
-    ``slots`` in counter order: one (B, m) int64 row of out-masks per
-    assignment, starting from ``static``.  A batch fills at most
-    ``_BATCH_CELLS`` cells of the detector's tables (always at least one
-    row)."""
-    total = 1 << len(slots)
-    step = max(1, _BATCH_CELLS >> m)
+def _light_splits(layout: SplitLayout):
+    """Yield (counters, rows) batches that together hold one representative
+    of every copy-swap class of the split graphs of ``layout``.
+
+    ``rows`` is a (B, m) int64 array of out-masks, one row per split graph;
+    ``counters`` holds each row's assignment counter (its index in the
+    split set's ``enumerate_lambda`` range), ascending.  Swapping a split
+    node's two copies gives an isomorphic split graph and toggles all of
+    the node's counter bits, the highest of which is its highest-id slot.
+    Pinning that slot on copy 0 keeps the least counter of every class, so
+    the first violating row is the first violating split graph of the full
+    range.  A batch fills at most ``_BATCH_CELLS`` detector cells (always
+    at least one row).
+    """
+    # copy-0 bit -> that node's highest-id slot (slots ascend by id: the last one wins)
+    highest = {b0: j for j, (_, b0, _, _) in enumerate(layout.slots)}
+    static = list(layout.static)
+    free = []
+    for j, (_, b0, _, tm) in enumerate(layout.slots):
+        if highest[b0] == j:
+            static[b0] |= tm
+        else:
+            free.append(j)
+    total = 1 << len(free)
+    step = max(1, _BATCH_CELLS >> layout.m)
     base = np.array(static, dtype=np.int64)
     for lo in range(0, total, step):
-        counters = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        outs = np.tile(base, (len(counters), 1))
-        for j, (_, b0, b1, tm) in enumerate(slots):
-            on_copy1 = (counters >> j & 1).astype(bool)
-            outs[:, b0] |= np.where(on_copy1, 0, tm)
-            outs[:, b1] |= np.where(on_copy1, tm, 0)
-        yield lo, outs
-
-
-def _light_splits(g: DirectedHypergraph, fault_set: frozenset[int]):
-    """Yield (out_bits, m, fprime_mask) batches that together hold one
-    representative of every copy-swap class of the split family of
-    ``fault_set``.
-
-    ``out_bits`` is a (B, m) int64 array, one row of out-masks per split
-    graph in the ``split_layout`` numbering.  The rows of a batch share the
-    split set X, hence m and fprime.  The violation predicates are invariant
-    under swapping a node's two copies, so each split node's lowest-id
-    channel is fixed on copy 0 and only the remaining slots vary.
-    """
-    for x in split_sets(fault_set):
-        layout = split_layout(g, fault_set, x)
-        # copy-0 bit -> that node's lowest-id slot (reversed: the first one wins)
-        lowest = {slot[1]: slot for slot in reversed(layout.slots)}
-        static = list(layout.static)
-        for _, b0, _, tm in lowest.values():
-            static[b0] |= tm
-        free = [slot for slot in layout.slots if lowest[slot[1]] != slot]
-        for _, outs in _split_rows(static, free, layout.m):
-            yield outs, layout.m, layout.fprime
+        light = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        rows = np.tile(base, (len(light), 1))
+        counters = np.zeros_like(light)
+        for k, j in enumerate(free):
+            _, b0, b1, tm = layout.slots[j]
+            bit = light >> k & 1
+            counters |= bit << j
+            on_copy1 = bit.astype(bool)
+            rows[:, b0] |= np.where(on_copy1, 0, tm)
+            rows[:, b1] |= np.where(on_copy1, tm, 0)
+        yield counters, rows
 
 
 def _split_graph_bits(sh: SplitHypergraph) -> tuple[list[int], int, int]:
@@ -333,15 +317,6 @@ def _partition_base(condition: str) -> int:
     return 3 if condition == LCR else 2
 
 
-def _partitions_in_family(g: DirectedHypergraph, fault_set: frozenset[int], base: int) -> int:
-    """Logical number of partition labelings across the full split family of
-    one fault set (used for the deterministic work counters)."""
-    return sum(
-        (1 << sum(len(g.head_edges(v)) for v in x)) * base ** (len(g.nodes) + len(x))
-        for x in split_sets(fault_set)
-    )
-
-
 def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The reference AB detector over a batch, one split graph at a time:
     the index of the first violating row, or -1."""
@@ -357,45 +332,47 @@ def _detector(condition: str):
     raise ValueError(f"unknown condition {condition!r}")
 
 
-def _fault_set_violated(g: DirectedHypergraph, fset: frozenset[int], f: int, detect) -> bool:
-    return any(detect(outs, m, fprime, f) >= 0 for outs, m, fprime in _light_splits(g, fset))
+def _scan_fault_set(
+    g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str, want_witness: bool = True
+) -> tuple[bool, int, int, Violation | None]:
+    """Decide one fault set in one pass over its copy-swap-halved split
+    family, in ``enumerate_lambda`` order.
 
-
-def _first_violation(
-    g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str
-) -> tuple[int, int, Violation]:
-    """Canonical rescan of a violated fault set: the first violating split
-    graph in ``enumerate_lambda`` order and its first violating partition.
-
-    The detector walks every split set's full counter range (no copy-swap
-    halving: the first violating split may put a node's lowest-id channel on
-    copy 1); only the winning split graph is built.  Returns (split index,
-    partition index counted across the family, violation).
+    Returns ``(holds, splits, partitions, violation)``.  A fault set that
+    holds counts its whole family: ``lambda_cardinality`` split graphs and
+    every labelling of each.  A violated one counts through its canonical
+    witness, the first violating split graph and that graph's first
+    violating partition; only the winning split graph is built.  With
+    ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
+    None)`` at the first violating row.
     """
     detect = _detector(condition)
-    base = _partition_base(condition)
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
-    splits_before = partitions_before = 0
+    base = _partition_base(condition)
+    splits = partitions = 0
     for x in split_sets(fset):
         layout = split_layout(g, fset, x)
         m = layout.m
-        for lo, outs in _split_rows(layout.static, layout.slots, m):
-            hit = detect(outs, m, layout.fprime, f)
+        for counters, rows in _light_splits(layout):
+            hit = detect(rows, m, layout.fprime, f)
             if hit < 0:
                 continue
-            counter = lo + hit
+            if not want_witness:
+                return False, 0, 0, None
+            counter = int(counters[hit])
             assignment = {s[0]: counter >> j & 1 for j, s in enumerate(layout.slots)}
             sh = split(g, fset, SplitSpec.make(x, assignment))
             pidx, part = canonical(sh, f)
             return (
-                splits_before + counter,
-                partitions_before + counter * base ** m + pidx,
+                False,
+                splits + counter + 1,
+                partitions + counter * base ** m + pidx + 1,
                 Violation(fset, sh, part),
             )
         family = 1 << len(layout.slots)
-        splits_before += family
-        partitions_before += family * base ** m
-    raise AssertionError("violation vanished during canonical rescan")
+        splits += family
+        partitions += family * base ** m
+    return True, splits, partitions, None
 
 
 def check_with_fault_set(
@@ -407,36 +384,26 @@ def check_with_fault_set(
 ) -> tuple[bool, Violation | None]:
     """Check one condition for a single fixed fault set.
 
-    Returns ``(holds, violation)``.  With ``want_witness=False`` the canonical
-    witness rescan is skipped and only the verdict is computed.
+    Returns ``(holds, violation)``.  With ``want_witness=False`` the scan
+    stops at the first violating split graph and builds no witness.
     """
-    fset = frozenset(fault_set)
-    if not _fault_set_violated(g, fset, f, _detector(condition)):
-        return True, None
-    if not want_witness:
-        return False, None
-    return False, _first_violation(g, fset, f, condition)[2]
+    holds, _, _, violation = _scan_fault_set(g, frozenset(fault_set), f, condition, want_witness)
+    return holds, violation
 
 
 def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
-    base = _partition_base(condition)
-    detect = _detector(condition)
-    fault_sets = 0
-    splits_total = 0
-    partitions_total = 0
+    fault_sets = splits_total = partitions_total = 0
     for fset in subsets_by_cardinality(g.nodes, f):
         fault_sets += 1
-        if not _fault_set_violated(g, fset, f, detect):
-            splits_total += lambda_cardinality(g, fset)
-            partitions_total += _partitions_in_family(g, fset, base)
+        holds, splits, partitions, violation = _scan_fault_set(g, fset, f, condition)
+        splits_total += splits
+        partitions_total += partitions
+        if holds:
             continue
-        idx, pidx, violation = _first_violation(g, fset, f, condition)
         if not verify_witness(g, f, violation):
             raise AssertionError("witness failed raw re-verification")
         return ConditionReport(
-            condition, f, False,
-            fault_sets, splits_total + idx + 1, partitions_total + pidx + 1,
-            violation,
+            condition, f, False, fault_sets, splits_total, partitions_total, violation
         )
     return ConditionReport(condition, f, True, fault_sets, splits_total, partitions_total, None)
 

@@ -104,6 +104,12 @@ def serialize_topology(g: DirectedHypergraph) -> str:
 # scenario documents
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: ``true`` and ``false`` parse as Python bools,
+    which are ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_scenario_dict(doc: dict[str, Any]) -> dict[str, Any]:
     """Validate a scenario JSON document and normalize its fields.
 
@@ -122,11 +128,14 @@ def parse_scenario_dict(doc: dict[str, Any]) -> dict[str, Any]:
         raise ValueError("the 'graph' field must hold topology text")
     g = parse_topology(graph_text)
     f = doc["f"]
-    if not isinstance(f, int) or f < 0:
+    if not _is_int(f) or f < 0:
         raise ValueError("f must be a non-negative integer")
-    faulty = frozenset(doc.get("faulty", []))
-    if not all(isinstance(v, int) and v in g.nodes for v in faulty):
+    raw_faulty = doc.get("faulty", [])
+    if not isinstance(raw_faulty, list) or not all(
+        _is_int(v) and v in g.nodes for v in raw_faulty
+    ):
         raise ValueError("faulty must list node ids")
+    faulty = frozenset(raw_faulty)
     if len(faulty) > f:
         raise ValueError(f"faulty set has {len(faulty)} nodes but f={f}")
     raw_inputs = doc["inputs"]
@@ -137,7 +146,9 @@ def parse_scenario_dict(doc: dict[str, Any]) -> dict[str, Any]:
         v = int(key)
         if v not in g.nodes:
             raise ValueError(f"input for unknown node {v}")
-        if bit not in (0, 1):
+        if v in inputs:
+            raise ValueError(f"node {v} has more than one input")
+        if not _is_int(bit) or bit not in (0, 1):
             raise ValueError(f"input for node {v} must be 0 or 1")
         inputs[v] = bit
     missing = g.nodes - inputs.keys()
@@ -147,7 +158,7 @@ def parse_scenario_dict(doc: dict[str, Any]) -> dict[str, Any]:
     if not isinstance(adversary, str):
         raise ValueError("adversary must be a string")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ValueError("seed must be an integer")
     return {
         "graph": g,

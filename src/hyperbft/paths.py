@@ -141,6 +141,25 @@ def reach_closure_bits(adj_bits: tuple[int, ...], start_mask: int, removed_mask:
     return reach
 
 
+def propagates_bits(
+    adj_bits, nbits: int, sources_mask: int, targets_mask: int, removed_mask: int, need: int
+) -> bool:
+    """Whether every target bit has ``need`` >= 1 node-disjoint paths from
+    the source set once ``removed_mask`` is deleted (true with no targets).
+    Targets must lie outside the sources.  A target the sources cannot reach
+    at all fails without a max-flow."""
+    if targets_mask & ~reach_closure_bits(adj_bits, sources_mask, removed_mask):
+        return False
+    t = targets_mask
+    while t:
+        low = t & -t
+        t ^= low
+        v = low.bit_length() - 1
+        if max_disjoint_paths_bits(adj_bits, nbits, sources_mask, v, removed_mask, 0, need) < need:
+            return False
+    return True
+
+
 def count_disjoint_paths(
     g: DirectedHypergraph,
     sources,

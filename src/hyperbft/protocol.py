@@ -42,7 +42,7 @@ import numpy as np
 
 from .conditions import subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
-from .paths import canonical_path, exists_disjoint_packing, max_disjoint_paths_bits
+from .paths import canonical_path, exists_disjoint_packing, propagates_bits
 from .splitting import _MASK_BITS, SplitLayout, split_layout
 
 ABSENT = -1
@@ -549,19 +549,11 @@ class Engine:
         paths in the split graph whose fault channels go to copy 0 or copy 1
         by the bits of ``sides`` (one per slot of ``ph.layout``), with N's
         fault copies removed."""
-        out_bits = ph.layout.out_masks(sides)
-        fprime = ph.layout.fprime
-        removed = nmask & fprime
-        t = nmask & ~fprime
-        while t:
-            low = t & -t
-            t ^= low
-            paths = max_disjoint_paths_bits(
-                out_bits, ph.layout.m, zmask, low.bit_length() - 1, removed, 0, self.f + 1
-            )
-            if paths < self.f + 1:
-                return False
-        return True
+        layout = ph.layout
+        return propagates_bits(
+            layout.out_masks(sides), layout.m, zmask, nmask & ~layout.fprime,
+            nmask & layout.fprime, self.f + 1,
+        )
 
     def node_step_f(self, ph: PhaseData, v: int, own_gamma: int, vals_e: np.ndarray) -> int:
         """Step (f) as executed by node v outside the source component."""

@@ -176,8 +176,10 @@ class SplitLayout:
     heads outside X; ``slots`` lists every channel headed in X, by ascending
     id, as (channel id, copy-0 bit, copy-1 bit, tail mask); tails in X are
     lifted onto both copies.  Bit j of an assignment counter puts slot j on
-    copy 1, as in ``enumerate_lambda`` (whose graphs number nodes otherwise).
-    ``fprime`` holds F's unsplit nodes and both copies of every node of X.
+    copy 1, as in ``enumerate_lambda`` (whose graphs number nodes otherwise),
+    so a node's highest-id slot is its most significant counter bit and the
+    checker keeps that bit 0 (one split graph per copy swap).  ``fprime``
+    holds F's unsplit nodes and both copies of every node of X.
     """
 
     m: int

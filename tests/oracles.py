@@ -14,8 +14,8 @@ one trail length at a time, applying the adversary's forward map at every
 faulty hop, where the library evaluates it in closed form.
 ``first_violation_rebuilding`` is the canonical witness rescan that builds
 every split graph of ``enumerate_lambda`` in turn and decides each alone,
-where the library runs the detector over layout rows in batches and builds
-only the winning split graph.
+where the library runs the detector in batches over the layout rows of one
+split graph per copy swap and builds only the winning split graph.
 """
 
 from __future__ import annotations

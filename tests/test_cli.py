@@ -142,6 +142,30 @@ def test_simulate_bad_scenario_exits_one(runner, tmp_path) -> None:
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("faulty", 3),
+        ("faulty", [[1]]),
+        ("faulty", [True]),
+        ("f", True),
+        ("inputs", {"0": True, "1": 1, "2": 1, "3": 0}),
+        ("inputs", {"0": 1.0, "1": 1, "2": 1, "3": 0}),
+        ("inputs", {"0": 1, "1": 1, "2": 1, "3": 0, "03": 1}),
+        ("seed", False),
+    ],
+    ids=["faulty-int", "faulty-nested", "faulty-bool", "f-bool", "input-bool", "input-float",
+         "input-alias", "seed-bool"],
+)
+def test_simulate_mistyped_scenario_field_exits_one(runner, tmp_path, field, value) -> None:
+    doc = json.loads(scenario_to_json(complete_p2p(4), 1, [3], {v: 1 for v in range(4)}))
+    doc[field] = value
+    path = write_fixture(tmp_path, "typed.json", json.dumps(doc))
+    res = invoke(runner, "simulate", path)
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+
+
 def test_simulate_sweep_refuses_a_bad_worker_count(runner, tmp_path, monkeypatch) -> None:
     path = scenario_file(tmp_path, complete_p2p(3), [0], {v: 0 for v in range(3)}, "honest")
     monkeypatch.setenv("HYPERBFT_WORKERS", "four")

@@ -4,17 +4,16 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperbft import conditions
 from hyperbft.conditions import (
     AB,
     LCR,
     MAX_LCR_NODES,
-    _detector,
-    _fault_set_violated,
-    _first_violation,
     _lcr_split_violated,
+    _partition_base,
+    _scan_fault_set,
     check_ab_hyper,
     check_lcr_hyper,
     check_with_fault_set,
@@ -30,6 +29,7 @@ from hyperbft.generators import (
     two_channel_example,
 )
 from hyperbft.hypergraph import DirectedHypergraph
+from hyperbft.splitting import lambda_cardinality, split_sets
 
 from oracles import (
     first_violation_rebuilding,
@@ -203,15 +203,29 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
     st.integers(min_value=1, max_value=2),
     st.sampled_from((LCR, AB)),
 )
+# witnesses that put a split node's lowest-id channel on copy 1
+@example(3, 4, 5, 1, LCR)
+@example(3, 4, 5, 1, AB)
+@example(5, 12, 6, 2, LCR)
 def test_first_violation_matches_the_rebuilding_oracle(n, channels, seed, f, condition) -> None:
+    """The one-pass scan over the halved family finds the canonical witness
+    of a violated fault set and counts the whole family of a holding one."""
     if condition == AB:
         n = min(n, 4)
     g = random_hypergraph(n, channels, seed, max_tail_size=2)
+    base = _partition_base(condition)
     for fset in subsets_by_cardinality(g.nodes, f):
-        if _fault_set_violated(g, fset, f, _detector(condition)):
-            assert _first_violation(g, fset, f, condition) == first_violation_rebuilding(
-                g, fset, f, condition
+        holds, splits, partitions, violation = _scan_fault_set(g, fset, f, condition)
+        if holds:
+            assert violation is None
+            assert splits == lambda_cardinality(g, fset)
+            assert partitions == sum(
+                (1 << sum(len(g.head_edges(v)) for v in x)) * base ** (len(g.nodes) + len(x))
+                for x in split_sets(fset)
             )
+        else:
+            got = (splits - 1, partitions - 1, violation)
+            assert got == first_violation_rebuilding(g, fset, f, condition)
 
 
 @pytest.mark.parametrize(
@@ -227,9 +241,9 @@ def test_rescan_builds_only_the_winning_split(monkeypatch, g, fset, condition, s
     built = []
     real_split = conditions.split
     monkeypatch.setattr(conditions, "split", lambda *args: built.append(args) or real_split(*args))
-    idx, _, violation = _first_violation(g, frozenset(fset), 1, condition)
+    holds, splits, _, violation = _scan_fault_set(g, frozenset(fset), 1, condition)
     # the rebuilding rescan built split_index + 1 split graphs here
-    assert idx == split_index
+    assert not holds and splits == split_index + 1
     assert len(built) == 1
     built.clear()
     holds, witness = check_with_fault_set(g, fset, 1, condition)

@@ -97,6 +97,14 @@ def test_checker_corpus_matches_golden() -> None:
     h = hashlib.sha256()
     for rep in _corpus_reports():
         h.update(canonical_json(rep).encode())
+        sh = getattr(rep.violation, "split", None)
+        if sh is not None:
+            # the canonical first split of a copy-swap class keeps each split
+            # node's highest-id channel on copy 0
+            g = sh.base
+            highest = [max(e.id for e in g.head_edges(v)) for v in sh.spec.split_set
+                       if g.head_edges(v)]
+            assert all(sh.spec.assignment_map[eid] == 0 for eid in highest)
     assert h.hexdigest() == (
         "53522794aeb978a3e395ab13e21d7b2dd8265cbcebb8ee2c1c2d71f7f181650b"
     )
