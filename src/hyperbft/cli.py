@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 import click
 
@@ -70,7 +71,30 @@ def _read_topology(path: str) -> DirectedHypergraph:
     raise AssertionError("unreachable")
 
 
-@click.group()
+class _Cli(click.Group):
+    """Click exits 2 on a usage error (a missing or malformed argument or
+    option, an unknown subcommand); here 2 means a violation, so usage
+    errors exit 1 like every other parameter error."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_1():
+            return super().invoke(ctx)
+
+
+@contextmanager
+def _usage_errors_exit_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Cli)
 def main() -> None:
     """Byzantine agreement on directed hypergraphs: checkers and simulator."""
 
@@ -81,7 +105,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--f", "f", type=int, required=True, help="Fault budget.")
+@click.option("--f", "f", type=click.IntRange(min=0), required=True, help="Fault budget.")
 @click.option(
     "--condition",
     type=click.Choice(["lcr", "ab", "auto"]),
@@ -93,8 +117,6 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit the machine-readable report.")
 def check(path: str, f: int, condition: str, as_json: bool) -> None:
     """Check whether agreement is solvable on the topology in PATH."""
-    if f < 0:
-        _error("--f must be non-negative")
     g = _read_topology(path)
     checker = check_ab_hyper if condition == "ab" else check_lcr_hyper
     try:
@@ -271,11 +293,13 @@ def _family(klass: str, n: int, sample: int | None, seed: int) -> Iterator[Direc
     required=True,
     help="Topology class whose reduced condition is cross-validated.",
 )
-@click.option("--n-max", type=int, required=True, help="Largest node count to enumerate.")
-@click.option("--f", "f", type=int, required=True, help="Fault budget.")
+@click.option(
+    "--n-max", type=click.IntRange(min=2), required=True, help="Largest node count to enumerate."
+)
+@click.option("--f", "f", type=click.IntRange(min=0), required=True, help="Fault budget.")
 @click.option(
     "--sample",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
     help="Sample this many instances per node count instead of exhaustive enumeration.",
 )
@@ -289,12 +313,6 @@ def crossval(
     Enumerates every instance of the class with 2 <= n <= n-max (or --sample
     random instances per node count) and reports any verdict disagreement.
     """
-    if f < 0:
-        _error("--f must be non-negative")
-    if n_max < 2:
-        _error("--n-max must be at least 2")
-    if sample is not None and sample < 1:
-        _error("--sample must be positive")
     per_n: list[dict[str, int]] = []
     disagreements: list[dict[str, object]] = []
     for n in range(2, n_max + 1):

@@ -160,27 +160,27 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     return int(hits[0]) if len(hits) else -1
 
 
-def _ab_clause_fails(out_bits: list[int], m: int, fprime: int, f: int, a_mask: int) -> bool:
-    """Whether side A fails to (f+1)-propagate to (V'-A)-F' once the fault
-    copies outside A are removed."""
-    targets = ((1 << m) - 1) & ~a_mask & ~fprime
-    return not propagates_bits(out_bits, m, a_mask, targets, fprime & ~a_mask, f + 1)
+def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> int:
+    """The first violating (A, B) partition, as its index in
+    ``itertools.product((0, 1), repeat=m)`` order (digit i is 1 when node
+    bit i lies in B); -1 when there is none.  A partition violates when
+    neither side (f+1)-propagates to the other side minus F' once the fault
+    copies outside it are removed.
 
-
-def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> bool:
-    """Existence of a violating (A, B) partition: both clauses fail.
-
-    The clause predicate depends only on its own side, so the scan walks the
-    2^(m-1) unordered complement pairs and evaluates the second side lazily."""
-    if m == 0:
-        return False
+    That holds for (A, B) exactly when it holds for (B, A), so the first
+    violation puts node bit 0 in A: the scan walks the first half of that
+    order and tests the second side lazily."""
     full = (1 << m) - 1
-    for a in range(1, 1 << (m - 1)):
-        if _ab_clause_fails(out_bits, m, fprime, f, a) and _ab_clause_fails(
-            out_bits, m, fprime, f, full & ~a
-        ):
-            return True
-    return False
+
+    def fails(a_mask: int) -> bool:
+        targets = full & ~a_mask & ~fprime
+        return not propagates_bits(out_bits, m, a_mask, targets, fprime & ~a_mask, f + 1)
+
+    for idx in range(1, 1 << max(m - 1, 0)):
+        bm = int(f"{idx:0{m}b}"[::-1], 2)  # digit i of idx is bit i of B
+        if fails(full & ~bm) and fails(bm):
+            return idx
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +291,12 @@ def _lcr_partition(g: DirectedHypergraph, *masks: int) -> PartitionLCR:
 
 def _canonical_ab_partition(sh: SplitHypergraph, f: int) -> tuple[int, PartitionAB]:
     out, m, fprime = _split_graph_bits(sh)
-    full = (1 << m) - 1
-    for idx, digits in enumerate(itertools.product((0, 1), repeat=m)):
-        am = 0
-        for i, dg in enumerate(digits):
-            if dg == 0:
-                am |= 1 << i
-        bm = full & ~am
-        if not am or not bm:
-            continue
-        if not _ab_clause_fails(out, m, fprime, f, am):
-            continue
-        if not _ab_clause_fails(out, m, fprime, f, bm):
-            continue
-        gp = sh.graph
-        return idx, PartitionAB(frozenset(gp.nodes_of_mask(am)), frozenset(gp.nodes_of_mask(bm)))
-    raise AssertionError("violation vanished during canonical rescan")
+    idx = _ab_split_violated(out, m, fprime, f)
+    if idx < 0:
+        raise AssertionError("violation vanished during canonical rescan")
+    gp = sh.graph
+    b_nodes = frozenset(v for i, v in enumerate(gp.node_order) if idx >> (m - 1 - i) & 1)
+    return idx, PartitionAB(gp.nodes - b_nodes, b_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +311,7 @@ def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The reference AB detector over a batch, one split graph at a time:
     the index of the first violating row, or -1."""
     rows = np.asarray(out_bits).tolist()
-    return next((i for i, row in enumerate(rows) if _ab_split_violated(row, m, fprime, f)), -1)
+    return next((i for i, r in enumerate(rows) if _ab_split_violated(r, m, fprime, f) >= 0), -1)
 
 
 def _detector(condition: str):

@@ -89,6 +89,8 @@ def random_hypergraph(
     """m random channels on n nodes; head and tail set drawn from the seed."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
+    if m < 0:
+        raise ValueError(f"the channel count must be non-negative, got {m}")
     rng = random.Random(seed)
     cap = n - 1 if max_tail_size is None else min(max_tail_size, n - 1)
     pairs = []

@@ -101,6 +101,8 @@ class DirectedHypergraph:
     nodes: frozenset[int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.nodes is None:
             object.__setattr__(self, "nodes", frozenset(range(self.n)))

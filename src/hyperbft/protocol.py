@@ -35,8 +35,9 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,10 @@ from .splitting import _MASK_BITS, SplitLayout, split_layout
 
 ABSENT = -1
 WORKERS_ENV = "HYPERBFT_WORKERS"
+# A trail universe holds every simple trail, and their number grows like n!
+# (complete_p2p(8) has 767,200, complete_p2p(9) 7,891,272); building stops
+# with a ValueError once it passes this many.
+MAX_TRAILS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,8 @@ class TrailUniverse:
     check — nodes sharing a group id exclude each other along one trail (used
     when several carrier copies stand in for one underlying node and a
     receiver would reject the collapsed duplicate).  ``tmask`` holds each
-    trail's transmitters as node bits, or as group bits with ``groups``."""
+    trail's transmitters as node bits, or as group bits with ``groups``.
+    Building stops with a ValueError past ``MAX_TRAILS`` trails."""
 
     def __init__(self, g: DirectedHypergraph, groups: dict[int, int] | None = None):
         bit = g.bit_of if groups is None else {v: groups[v] for v in g.node_order}
@@ -205,8 +211,13 @@ class TrailUniverse:
                 index[(u, (e.id,))] = tid
 
         lo, hi = 0, len(origins)
+        layers = []
         while lo < hi:
+            layers.append((lo, hi))
             for ptid in range(lo, hi):
+                # every trail added since the last check sits in a later layer
+                if len(origins) > MAX_TRAILS:
+                    raise ValueError(f"the graph has more than {MAX_TRAILS} simple trails")
                 pmask = tmask[ptid]
                 for w in tails_of[edges[ptid]]:
                     wb = 1 << bit[w]
@@ -228,6 +239,7 @@ class TrailUniverse:
         self.grouped = groups is not None
         self.size = len(origins)
         self.index = index
+        self.layers = tuple(layers)     # (first, end) trail ids of each trail length
         self.trail_of = trail_of        # trail id -> its channel ids, in order
         self.origin = np.array(origins, dtype=np.int32)
         self.parent = np.array(parents, dtype=np.int32)
@@ -249,22 +261,18 @@ class TrailUniverse:
     def tid(self, origin: int, trail: tuple[int, ...]) -> int | None:
         return self.index.get((origin, trail))
 
-    def edge_used(self) -> dict[int, np.ndarray]:
-        """Per node, the channel it transmitted on within each trail (-1 if
-        it did not transmit)."""
-        parents = self.parent.tolist()
-        edges = self.edge.tolist()
-        heads = self.edge_head.tolist()
-        cols = {}
-        for v in self.g.node_order:
-            col = [-1] * self.size
-            for tid, (p, eid) in enumerate(zip(parents, edges)):
-                if heads[eid] == v:
-                    col[tid] = eid
-                elif p >= 0:
-                    col[tid] = col[p]
-            cols[v] = np.array(col, dtype=np.int32)
-        return cols
+    @cached_property
+    def edge_used(self) -> np.ndarray:
+        """``edge_used[v, t]``: the channel node v transmitted on within
+        trail t, -1 if it did not.  A trail inherits its parent's column
+        and adds the head of its last channel."""
+        used = np.full((self.g.n, self.size), -1, dtype=np.int32)
+        heads = self.edge_head[self.edge]
+        for lo, hi in self.layers:
+            if lo:
+                used[:, lo:hi] = used[:, self.parent[lo:hi]]
+            used[heads[lo:hi], np.arange(lo, hi)] = self.edge[lo:hi]
+        return used
 
 
 def flood_records(
@@ -323,74 +331,99 @@ def flood_records(
 # per-phase static data
 
 
+class Candidates(NamedTuple):
+    """The trails one node weighs when it adopts a value in one phase, by
+    ascending id: ``masks`` holds their transmitters as node bits,
+    ``origin_bits`` their origins, and ``sent[k]`` the slot of the phase's
+    split layout on which the k-th node of sorted N(F, S) transmitted, -1
+    where it did not (int16, one column per trail)."""
+
+    tids: np.ndarray
+    masks: np.ndarray
+    origin_bits: np.ndarray
+    sent: np.ndarray
+
+
 @dataclass
 class PhaseData:
+    """What steps (b)-(f) of one phase read that does not depend on the
+    states: built once per phase by ``_build_phase``, per node of S for
+    steps (c)+(d) and per updater for step (f).  A phase whose G - F has
+    several source components keeps only its first four fields."""
+
     fault_set: frozenset[int]
     source: frozenset[int] | None
-    nfs: frozenset[int]
-    seeds_b: frozenset[int]
-    f_sorted: tuple[int, ...]
-    f_edges: tuple[tuple[int, int], ...]        # (faulty head, edge id), in slot order
-    cpath_f: dict[int, dict[tuple[int, int], int | None]]
-    cpath_s: dict[int, dict[int, int | None]]
+    seeds_b: frozenset[int]                     # S u N(F, S), the seeds of flood (b)
     layout: SplitLayout                         # every node of F split
-    cand_d: dict[int, np.ndarray]
-    cand_f: dict[int, np.ndarray]
-    updaters_f: tuple[int, ...]
+    nfs_mask: int = 0                           # N(F, S) as base (copy-0) bits
+    nfs_copy1: int = 0                          # N(F, S) as copy-1 bits
+    # v in S -> v's canonical trail from the head of each layout slot through
+    # that slot (None: unreachable), and (u's bit, v's canonical trail from
+    # u in G - F) for every other u in S
+    cpath_f: dict[int, tuple[int | None, ...]] = field(default_factory=dict)
+    cpath_s: dict[int, tuple[tuple[int, int | None], ...]] = field(default_factory=dict)
+    cand_d: dict[int, Candidates] = field(default_factory=dict)   # v in S
+    cand_f: dict[int, Candidates] = field(default_factory=dict)   # v in updaters_f
+    updaters_f: tuple[int, ...] = ()            # the nodes outside S and F
 
 
 def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int]) -> PhaseData:
     bit = g.bit_of
     reduced = g.remove_nodes(fset)
     sources = reduced.source_components
-    source = frozenset(sources[0]) if len(sources) == 1 else None
-    f_sorted = tuple(sorted(fset))
     layout = split_layout(g, fset, fset)
-    if source is None:
-        return PhaseData(
-            fset, None, frozenset(), frozenset(), f_sorted, (), {}, {}, layout, {}, {}, (),
-        )
-    nfs = frozenset(g.in_neighborhood(fset, source))
-    seeds_b = source | nfs
-    f_edges = tuple((g.edge_by_id[eid].head, eid) for eid, _, _, _ in layout.slots)
+    if len(sources) != 1:
+        return PhaseData(fset, None, frozenset(), layout)
+    source = frozenset(sources[0])
+    nfs = g.in_neighborhood(fset, source)
+    in_s = sorted(source)
 
-    cpath_f: dict[int, dict[tuple[int, int], int | None]] = {}
-    cpath_s: dict[int, dict[int, int | None]] = {}
-    for v in sorted(source):
-        per_fe: dict[tuple[int, int], int | None] = {}
-        for u, eid in f_edges:
-            sub = g.induced_with_edges(source, (eid,))
-            path = canonical_path(sub, u, v)
-            per_fe[(u, eid)] = None if path is None else tu.tid(u, path)
-        cpath_f[v] = per_fe
-        per_s: dict[int, int | None] = {}
-        for u in sorted(source):
-            if u == v:
-                continue
-            path = canonical_path(reduced, u, v)
-            per_s[u] = None if path is None else tu.tid(u, path)
-        cpath_s[v] = per_s
+    def trail(sub: DirectedHypergraph, u: int, v: int) -> int | None:
+        path = canonical_path(sub, u, v)
+        return None if path is None else tu.tid(u, path)
 
-    def candidates(v: int, avoid: int, origins: int) -> np.ndarray:
+    # the restriction to S plus one fault channel does not depend on v
+    slot_subs = [
+        (g.edge_by_id[eid].head, g.induced_with_edges(source, (eid,)))
+        for eid, _, _, _ in layout.slots
+    ]
+    cpath_f = {v: tuple(trail(sub, u, v) for u, sub in slot_subs) for v in in_s}
+    cpath_s = {
+        v: tuple((1 << bit[u], trail(reduced, u, v)) for u in in_s if u != v) for v in in_s
+    }
+
+    # slot_of[edge id] -> its layout slot; the extra last entry maps -1 to -1
+    slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
+    for j, (eid, _, _, _) in enumerate(layout.slots):
+        slot_of[eid] = j
+    sent = slot_of[tu.edge_used[sorted(nfs)]]
+
+    origin_bits = np.left_shift(np.int64(1), tu.origin.astype(np.int64))
+
+    def candidates(v: int, avoid: int, origins: int) -> Candidates:
         """Trails received by v with no transmitter in ``avoid`` and an
         origin in ``origins``."""
         tids = tu.receives[v]
-        origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
-        return tids[((tu.tmask[tids] & avoid) == 0) & ((origin_bits & origins) != 0)]
+        masks = tu.tmask[tids]
+        obits = origin_bits[tids]
+        keep = ((masks & avoid) == 0) & ((obits & origins) != 0)
+        tids = tids[keep]
+        return Candidates(tids, masks[keep], obits[keep], sent[:, tids])
 
     # step (d) candidates: trails ending at v whose origin could sit on the
     # adopting side's complement; the receiving node itself must not appear
     # mid-trail, or the underlying path would visit it twice.
+    seeds_b = source | nfs
     seeds_mask = g.mask_of(seeds_b)
-    cand_d = {v: candidates(v, 1 << bit[v], seeds_mask) for v in sorted(source)}
+    cand_d = {v: candidates(v, 1 << bit[v], seeds_mask) for v in in_s}
     # step (f) candidates: trails from S that avoid F and v itself
     fmask = g.mask_of(fset)
-    smask = g.mask_of(source)
     updaters_f = tuple(v for v in g.node_order if v not in source and v not in fset)
-    cand_f = {v: candidates(v, fmask | 1 << bit[v], smask) for v in updaters_f}
+    cand_f = {v: candidates(v, fmask | 1 << bit[v], g.mask_of(source)) for v in updaters_f}
     return PhaseData(
-        fset, source, nfs, seeds_b, f_sorted, f_edges, cpath_f, cpath_s, layout,
-        cand_d, cand_f, updaters_f,
+        fset, source, seeds_b, layout, g.mask_of(nfs),
+        sum(1 << layout.copy1[bit[u]] for u in nfs),
+        cpath_f, cpath_s, cand_d, cand_f, updaters_f,
     )
 
 
@@ -445,7 +478,6 @@ class Engine:
         self.g = g
         self.f = f
         self.tu = TrailUniverse(g)
-        self.edge_used = self.tu.edge_used()
         self.phases = [
             _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
@@ -454,122 +486,74 @@ class Engine:
     # -- per-node protocol steps (reused by the indistinguishability harness)
 
     def node_step_cd(self, ph: PhaseData, v: int, own_gamma: int, vals_b: np.ndarray) -> int:
-        """Steps (c)+(d) as executed by node v: build its private split of
-        the candidate fault set from traced values, sort traced states into
-        Z/N, test propagation, and adopt a value carried identically along
-        f+1 node-disjoint paths from the propagating side.  Returns v's new
-        state (== own_gamma when nothing is adopted)."""
-        g = self.g
-        tu = self.tu
-        bit = g.bit_of
-        copy1 = ph.layout.copy1
-        nfs_sorted = sorted(ph.nfs)
+        """Steps (c)+(d) as executed by node v: split the candidate fault
+        set by the values v traced through each fault channel, sort the
+        traced states into Z/N, test propagation, and adopt a value carried
+        identically along f+1 node-disjoint paths from the propagating side.
+        Returns v's new state (== own_gamma when nothing is adopted).
 
-        # step (c): per-channel copy assignment from traced values
-        side_of_edge = np.full(tu.max_edge_id + 2, -1, dtype=np.int8)
-        sides = 0
-        for i, (u, eid) in enumerate(ph.f_edges):
-            tid = ph.cpath_f[v][(u, eid)]
-            side = 0 if (tid is not None and vals_b[tid] == 0) else 1
-            side_of_edge[eid] = side
-            sides |= side << i
-
-        zmask = 0
-        for u in nfs_sorted:
-            zmask |= 1 << bit[u]  # copy 0 of a helper node starts in Z
-        nmask = sum(1 << copy1[bit[u]] for u in nfs_sorted)
-        for u in sorted(ph.source):
-            if u == v:
-                received0 = own_gamma == 0
+        Step (d) keeps a candidate trail when its origin is in A n S or in
+        N(F, S) and every node of N(F, S) on it transmitted on a channel of
+        the adopting side's copy (a helper origin's first channel included).
+        Disjointness is read off the base transmitter masks.  v's canonical
+        trail through a fault channel runs in S plus that channel, so a
+        channel with no tail in S has none and always goes to copy 1: a node
+        of F outside N(F, S) is on copy 1 wherever it transmits, and a node
+        of N(F, S) on a kept trail is on the adopting side's copy.  The
+        split-graph bits of the kept trails are thus one renaming of their
+        base bits, which keeps every intersection as it is."""
+        vbit = 1 << self.g.bit_of[v]
+        # step (c): slot j of the layout goes to copy 0 exactly when v traced a 0 through it
+        side = [0 if tid is not None and vals_b[tid] == 0 else 1 for tid in ph.cpath_f[v]]
+        sides = sum(s << j for j, s in enumerate(side))
+        # copy 0 of a helper node starts in Z, copy 1 in N
+        zmask, nmask = ph.nfs_mask, ph.nfs_copy1
+        if own_gamma == 0:
+            zmask |= vbit
+        else:
+            nmask |= vbit
+        for ubit, tid in ph.cpath_s[v]:
+            if tid is not None and vals_b[tid] == 0:
+                zmask |= ubit
             else:
-                tid = ph.cpath_s[v][u]
-                received0 = tid is not None and vals_b[tid] == 0
-            if received0:
-                zmask |= 1 << bit[u]
-            else:
-                nmask |= 1 << bit[u]
+                nmask |= ubit
 
         # step (d): does Z propagate to N - F' once N's fault copies go?
         key = ("propagates", ph.fault_set, sides, zmask, nmask)
         prop = self._cache.get(key)
         if prop is None:
-            prop = self._propagates(ph, sides, zmask, nmask)
-            self._cache[key] = prop
-        if prop:
-            amask, bmask = zmask, nmask
-            need_side = 0
-        else:
-            amask, bmask = nmask, zmask
-            need_side = 1
-
-        if not bmask >> bit[v] & 1:
+            lay = ph.layout
+            prop = self._cache[key] = propagates_bits(
+                lay.out_masks(sides), lay.m, zmask, nmask & ~lay.fprime,
+                nmask & lay.fprime, self.f + 1,
+            )
+        amask, bmask, need_side = (zmask, nmask, 0) if prop else (nmask, zmask, 1)
+        if not bmask & vbit:
             return own_gamma
-        # v is on the adopting side: look for f+1 disjoint paths from A
-        a_node = np.zeros(g.n, dtype=bool)
-        for u in sorted(ph.source):
-            if amask >> bit[u] & 1:
-                a_node[u] = True
+        # v is on the adopting side: look for f+1 disjoint paths from A.
+        # Origins lie in S u N(F, S), and A's bits outside S are N(F, S)'s
+        # own or its fault copies; a helper that did not transmit reads need_side.
         cand = ph.cand_d[v]
-        if len(cand) == 0:
-            return own_gamma
-        eff = vals_b[cand].copy()
-        eff[eff == ABSENT] = 1
-        origins = tu.origin[cand]
-        orig_in_s = a_node[origins]
-        first_sides = side_of_edge[tu.first_edge[cand]]
-        orig_is_helper = np.zeros(len(cand), dtype=bool)
-        for u in nfs_sorted:
-            orig_is_helper |= origins == u
-        ok_origin = np.where(orig_is_helper, first_sides == need_side, orig_in_s)
-        # transmitters as split-graph bits: a faulty transmitter on copy 1
-        # moves from its base bit to its copy-1 bit
-        masks_all = tu.tmask[cand]
-        ok_sides = np.ones(len(cand), dtype=bool)
-        for u in ph.f_sorted:
-            col = self.edge_used[u][cand]
-            visited = col >= 0
-            if not visited.any():
-                continue
-            sides = np.where(visited, side_of_edge[np.where(visited, col, 0)], 0)
-            if u in ph.nfs:
-                ok_sides &= ~visited | (sides == need_side)
-            moved = np.int64((1 << bit[u]) | (1 << copy1[bit[u]]))
-            masks_all = np.where(sides == 1, masks_all ^ moved, masks_all)
-        for b in (0, 1):
-            sel = (eff == b) & ok_origin & ok_sides
-            if int(sel.sum()) < self.f + 1:
-                continue
-            masks = sorted(set(masks_all[sel].tolist()))
-            if exists_disjoint_packing(masks, self.f + 1):
-                return b
-        return own_gamma
-
-    def _propagates(self, ph: PhaseData, sides: int, zmask: int, nmask: int) -> bool:
-        """Whether Z reaches every node of N - F' along f+1 node-disjoint
-        paths in the split graph whose fault channels go to copy 0 or copy 1
-        by the bits of ``sides`` (one per slot of ``ph.layout``), with N's
-        fault copies removed."""
-        layout = ph.layout
-        return propagates_bits(
-            layout.out_masks(sides), layout.m, zmask, nmask & ~layout.fprime,
-            nmask & layout.fprime, self.f + 1,
-        )
+        on_side = np.array(side + [need_side])[cand.sent] == need_side
+        ok = ((cand.origin_bits & (amask | ph.nfs_mask)) != 0) & on_side.all(axis=0)
+        return self._adopt(own_gamma, vals_b[cand.tids], cand.masks, ok)
 
     def node_step_f(self, ph: PhaseData, v: int, own_gamma: int, vals_e: np.ndarray) -> int:
-        """Step (f) as executed by node v outside the source component."""
-        tu = self.tu
+        """Step (f) as executed by node v outside S and F: adopt a value
+        carried identically along f+1 node-disjoint trails from S in G - F."""
         cand = ph.cand_f[v]
-        if len(cand) == 0:
-            return own_gamma
-        eff = vals_e[cand].copy()
-        eff[eff == ABSENT] = 1
-        masks_all = tu.tmask[cand]
+        return self._adopt(own_gamma, vals_e[cand.tids], cand.masks)
+
+    def _adopt(self, own_gamma: int, vals: np.ndarray, masks: np.ndarray, ok=True) -> int:
+        """The value (0 first) that f+1 of the candidate trails kept by
+        ``ok`` carry identically with pairwise disjoint transmitter ``masks``,
+        a missing record read as 1; own_gamma when neither value is."""
+        vals = np.where(vals == ABSENT, 1, vals)
         for b in (0, 1):
-            sel = eff == b
-            if int(sel.sum()) < self.f + 1:
-                continue
-            masks = sorted(set(masks_all[sel].tolist()))
-            if exists_disjoint_packing(masks, self.f + 1):
+            sel = (vals == b) & ok
+            if np.count_nonzero(sel) > self.f and exists_disjoint_packing(
+                masks[sel].tolist(), self.f + 1
+            ):
                 return b
         return own_gamma
 

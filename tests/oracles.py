@@ -16,6 +16,11 @@ faulty hop, where the library evaluates it in closed form.
 every split graph of ``enumerate_lambda`` in turn and decides each alone,
 where the library runs the detector in batches over the layout rows of one
 split graph per copy swap and builds only the winning split graph.
+``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
+the phase's fault set and source component alone, where the engine reads
+per-(phase, node) candidate tables built once per phase; its
+``edge_used_reference`` reads each node's channel off every trail's channel
+list, where the library fills a table one trail length at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import numpy as np
 from hyperbft import conditions
 from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
+from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
 from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
-from hyperbft.splitting import enumerate_lambda
+from hyperbft.splitting import enumerate_lambda, split_layout
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,133 @@ def flood_records_layered(tu: TrailUniverse, seeds, gamma, faulty=(), adversary=
             out[sel] = [forward[x] for x in out[sel].tolist()]
         vals[layer] = out
     return vals
+
+
+# ---------------------------------------------------------------------------
+# per-node protocol steps
+
+
+def edge_used_reference(tu: TrailUniverse, u: int) -> np.ndarray:
+    """The channel u transmitted on within each trail (-1 if it did not),
+    read off each trail's channel list."""
+    heads = {e.id: e.head for e in tu.g.edges}
+    return np.array(
+        [next((e for e in trail if heads[e] == u), -1) for trail in tu.trail_of],
+        dtype=np.int32,
+    )
+
+
+def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -> int:
+    """Node v's new state in phase ``ph``: steps (c)+(d) for v in the source
+    component S, step (f) for any other node outside F.
+
+    Everything but the engine's graph, trail universe and f is derived here
+    from the fault set and S: N(F, S), the canonical trails, the candidate
+    trails, the channel each faulty node used on every trail, and the split
+    layout.  Step (d) tests a helper origin's first channel apart from the
+    other helper channels, and moves every faulty transmitter on a copy-1
+    channel to its copy-1 bit before it tests disjointness."""
+    g, tu, f = engine.g, engine.tu, engine.f
+    bit = g.bit_of
+    fset, source = ph.fault_set, ph.source
+    reduced = g.remove_nodes(fset)
+
+    def candidates(avoid: int, origins) -> np.ndarray:
+        tids = tu.receives[v]
+        origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
+        return tids[((tu.tmask[tids] & avoid) == 0) & ((origin_bits & g.mask_of(origins)) != 0)]
+
+    def adopt(cand: np.ndarray, ok: np.ndarray, masks_all: np.ndarray) -> int:
+        eff = vals[cand].copy()
+        eff[eff == ABSENT] = 1
+        for b in (0, 1):
+            sel = (eff == b) & ok
+            if int(sel.sum()) < f + 1:
+                continue
+            masks = sorted(set(masks_all[sel].tolist()))
+            if exists_disjoint_packing(masks, f + 1):
+                return b
+        return own_gamma
+
+    if v not in source:
+        # step (f): trails from S that avoid F and v itself
+        cand = candidates(g.mask_of(fset) | 1 << bit[v], source)
+        return adopt(cand, np.ones(len(cand), dtype=bool), tu.tmask[cand])
+
+    nfs_sorted = sorted(g.in_neighborhood(fset, source))
+    layout = split_layout(g, fset, fset)
+    copy1 = layout.copy1
+
+    # step (c): per-channel copy assignment from traced values
+    side_of_edge = np.full(tu.max_edge_id + 2, -1, dtype=np.int8)
+    sides = 0
+    for i, (eid, _, _, _) in enumerate(layout.slots):
+        u = g.edge_by_id[eid].head
+        path = canonical_path(g.induced_with_edges(source, (eid,)), u, v)
+        tid = None if path is None else tu.tid(u, path)
+        side = 0 if (tid is not None and vals[tid] == 0) else 1
+        side_of_edge[eid] = side
+        sides |= side << i
+
+    zmask = 0
+    for u in nfs_sorted:
+        zmask |= 1 << bit[u]  # copy 0 of a helper node starts in Z
+    nmask = sum(1 << copy1[bit[u]] for u in nfs_sorted)
+    for u in sorted(source):
+        if u == v:
+            received0 = own_gamma == 0
+        else:
+            path = canonical_path(reduced, u, v)
+            tid = None if path is None else tu.tid(u, path)
+            received0 = tid is not None and vals[tid] == 0
+        if received0:
+            zmask |= 1 << bit[u]
+        else:
+            nmask |= 1 << bit[u]
+
+    # step (d): does Z propagate to N - F' once N's fault copies go?
+    prop = propagates_bits(
+        layout.out_masks(sides), layout.m, zmask, nmask & ~layout.fprime,
+        nmask & layout.fprime, f + 1,
+    )
+    if prop:
+        amask, bmask = zmask, nmask
+        need_side = 0
+    else:
+        amask, bmask = nmask, zmask
+        need_side = 1
+
+    if not bmask >> bit[v] & 1:
+        return own_gamma
+    # v is on the adopting side: look for f+1 disjoint paths from A; the
+    # receiving node itself must not appear mid-trail
+    a_node = np.zeros(g.n, dtype=bool)
+    for u in sorted(source):
+        if amask >> bit[u] & 1:
+            a_node[u] = True
+    cand = candidates(1 << bit[v], source | set(nfs_sorted))
+    origins = tu.origin[cand]
+    orig_in_s = a_node[origins]
+    first_sides = side_of_edge[tu.first_edge[cand]]
+    orig_is_helper = np.zeros(len(cand), dtype=bool)
+    for u in nfs_sorted:
+        orig_is_helper |= origins == u
+    ok_origin = np.where(orig_is_helper, first_sides == need_side, orig_in_s)
+    # transmitters as split-graph bits: a faulty transmitter on copy 1
+    # moves from its base bit to its copy-1 bit
+    masks_all = tu.tmask[cand]
+    ok_sides = np.ones(len(cand), dtype=bool)
+    for u in sorted(fset):
+        col = edge_used_reference(tu, u)[cand]
+        visited = col >= 0
+        if not visited.any():
+            continue
+        used_sides = np.where(visited, side_of_edge[np.where(visited, col, 0)], 0)
+        if u in nfs_sorted:
+            ok_sides &= ~visited | (used_sides == need_side)
+        moved = np.int64((1 << bit[u]) | (1 << copy1[bit[u]]))
+        masks_all = np.where(used_sides == 1, masks_all ^ moved, masks_all)
+    return adopt(cand, ok_origin & ok_sides, masks_all)
 
 
 # ---------------------------------------------------------------------------

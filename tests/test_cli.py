@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hyperbft import protocol
 from hyperbft.cli import main
 from hyperbft.formats import parse_topology, scenario_to_json, serialize_topology
 from hyperbft.generators import complete_p2p, cycle_local_broadcast
@@ -109,6 +110,44 @@ def test_generate_bad_parameters_exit_one(runner) -> None:
     assert invoke(runner, "generate", "mystery").exit_code == 1
 
 
+def test_generate_negative_sizes_exit_one(runner) -> None:
+    res = invoke(runner, "generate", "--", "complete_p2p", "-2")
+    assert res.exit_code == 1
+    assert "n must be non-negative" in res.output
+    res = invoke(runner, "generate", "--", "random", "5", "-3", "1")
+    assert res.exit_code == 1
+    assert "channel count must be non-negative" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check", "{k4}"], "Missing option '--f'"),
+        (["check", "{k4}", "--f", "x"], "Invalid value for '--f'"),
+        (["crossval", "--class", "nope", "--n-max", "3", "--f", "1"], "Invalid value"),
+        (["check", "{k4}", "--f", "-1"], "-1 is not in the range x>=0"),
+        (["crossval", "--class", "p2p", "--n-max", "1", "--f", "1"], "1 is not in the range x>=2"),
+        (["crossval", "--class", "p2p", "--n-max", "3", "--f", "1", "--sample", "0"],
+         "0 is not in the range x>=1"),
+        (["simulate"], "Missing argument 'SCENARIO'"),
+        (["mystery"], "No such command"),
+    ],
+    ids=["missing-f", "bad-f", "bad-class", "negative-f", "small-n-max", "zero-sample",
+         "no-scenario", "unknown-command"],
+)
+def test_usage_errors_exit_one(runner, tmp_path, args, message) -> None:
+    res = invoke(runner, *[a.format(k4=k4_path(tmp_path)) for a in args])
+    assert res.exit_code == 1
+    assert message in res.output
+
+
+@pytest.mark.parametrize("args", [["--help"], ["check", "--help"], ["simulate", "--help"]])
+def test_help_exits_zero(runner, args) -> None:
+    res = invoke(runner, *args)
+    assert res.exit_code == 0
+    assert "Usage:" in res.output
+
+
 def scenario_file(tmp_path, g, faulty, inputs, adversary) -> str:
     return write_fixture(
         tmp_path, "scn.json", scenario_to_json(g, 1, faulty, inputs, adversary)
@@ -180,6 +219,15 @@ def test_simulate_refuses_graphs_past_the_mask_bit_budget(runner, tmp_path) -> N
     res = invoke(runner, "simulate", path)
     assert res.exit_code == 1
     assert "n + 2f = 66" in res.output
+
+
+def test_simulate_refuses_graphs_past_the_trail_limit(runner, tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(protocol, "MAX_TRAILS", 2000)
+    protocol._engine.cache_clear()
+    path = scenario_file(tmp_path, complete_p2p(6), [], {v: 0 for v in range(6)}, "honest")
+    res = invoke(runner, "simulate", path)
+    assert res.exit_code == 1
+    assert "more than 2000 simple trails" in res.output
 
 
 def test_simulate_json_report(runner, tmp_path) -> None:

@@ -71,6 +71,14 @@ def test_union_requires_matching_node_sets() -> None:
         union_hypergraph(complete_p2p(3), complete_p2p(4))
 
 
+def test_negative_sizes_are_refused() -> None:
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        complete_p2p(-2)
+    with pytest.raises(ValueError, match="channel count must be non-negative"):
+        random_hypergraph(5, -3, 1)
+    assert len(random_hypergraph(5, 0, 1).edges) == 0
+
+
 def test_random_generators_are_seed_deterministic() -> None:
     assert random_hypergraph(5, 7, 123) == random_hypergraph(5, 7, 123)
     assert random_hypergraph(5, 7, 123) != random_hypergraph(5, 7, 124)

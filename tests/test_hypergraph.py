@@ -32,6 +32,11 @@ def test_duplicate_edge_ids_rejected() -> None:
         DirectedHypergraph(2, edges)
 
 
+def test_negative_node_count_rejected() -> None:
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        DirectedHypergraph(-3, ())
+
+
 def test_edges_must_use_known_nodes() -> None:
     with pytest.raises(ValueError):
         DirectedHypergraph(2, [Hyperedge(0, 0, frozenset({5}))])

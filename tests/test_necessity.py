@@ -5,6 +5,7 @@ import pytest
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.generators import complete_p2p, sample_condition_violating
 from hyperbft.necessity import _run_carrier, build_carrier, build_necessity_executions
+from hyperbft import protocol
 from hyperbft.protocol import get_engine
 
 from oracles import carrier_logs
@@ -95,3 +96,12 @@ def test_reception_logs_match_the_canonical_json_oracle(f: int) -> None:
             assert logs[cid] == want_logs[cid], (g.n, len(g.edges), cid)
         checked += 1
     assert checked >= 6
+
+
+def test_trail_limit_covers_the_carrier_universe(monkeypatch) -> None:
+    g, rep = sample_condition_violating(4, 4, 1, seed=17)[0]
+    carrier = build_carrier(g, 1, rep.violation)
+    base_trails = get_engine(g, 1).tu.size          # 47; the carrier has 62
+    monkeypatch.setattr(protocol, "MAX_TRAILS", base_trails)
+    with pytest.raises(ValueError, match=f"more than {base_trails} simple trails"):
+        _run_carrier(carrier)

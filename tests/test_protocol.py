@@ -32,7 +32,7 @@ from hyperbft.protocol import (
     sweep_scenarios,
 )
 
-from oracles import flood_records_layered
+from oracles import edge_used_reference, flood_records_layered, node_steps_reference
 
 
 class SwapSilencer(Adversary):
@@ -153,6 +153,31 @@ def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
         assert np.array_equal(got, want), getattr(adv, "name", None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_node_steps_match_the_reference(n, m, f, seed) -> None:
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    engine = Engine(g, f)
+    rng = np.random.default_rng(seed)
+    for ph in engine.phases:
+        if ph.source is None:
+            continue
+        for _ in range(3):
+            p_zero = rng.uniform(0.2, 0.8)
+            probs = [(1 - p_zero) / 3, p_zero, 2 * (1 - p_zero) / 3]
+            vals = rng.choice(np.array([ABSENT, 0, 1], dtype=np.int16), engine.tu.size, p=probs)
+            for v in sorted(g.nodes - ph.fault_set):
+                own_gamma = int(rng.integers(2))
+                step = engine.node_step_cd if v in ph.source else engine.node_step_f
+                want = node_steps_reference(engine, ph, v, own_gamma, vals)
+                assert step(ph, v, own_gamma, vals) == want, (ph.fault_set, v)
+
+
 def test_custom_adversary_runs_through_the_engine() -> None:
     g = complete_p2p(4)
     res = run_scenario(g, 1, [3], {0: 1, 1: 0, 2: 1, 3: 0}, SwapSilencer())
@@ -168,6 +193,22 @@ def test_mask_bit_budget_is_enforced_before_building() -> None:
     with pytest.raises(ValueError, match="n \\+ 2f = 64"):
         Engine(cycle_local_broadcast(64), 0)
     assert len(Engine(DirectedHypergraph(60, []), 1).phases) == 61  # n + 2f = 62 fits
+
+
+def test_trail_universe_stops_past_the_trail_limit(monkeypatch) -> None:
+    monkeypatch.setattr(protocol, "MAX_TRAILS", 2000)
+    assert TrailUniverse(complete_p2p(5)).size == 1300
+    with pytest.raises(ValueError, match="more than 2000 simple trails"):
+        TrailUniverse(complete_p2p(6))  # 9,780 trails
+    with pytest.raises(ValueError, match="more than 2000 simple trails"):
+        Engine(complete_p2p(6), 1)
+
+
+def test_edge_used_names_each_trails_channel_of_a_node() -> None:
+    g = random_hypergraph(5, 8, 3)
+    tu = TrailUniverse(g)
+    for u in range(g.n):
+        assert np.array_equal(tu.edge_used[u], edge_used_reference(tu, u))
 
 
 def test_unknown_adversary_name_rejected() -> None:
