@@ -9,14 +9,21 @@ split of every subset of F, and every partition of the split graph's nodes:
   node of B - F' via f+1 node-disjoint paths once B's fault copies are
   removed, or symmetrically with A and B swapped.
 
-The production scan works on bitmasks (``splitting.split_layout``) and
-visits one split graph of every copy-swap class (the predicates are invariant
-under relabeling a node's two copies): the one that keeps each split node's
-highest-id channel on copy 0, which is also the class's first in canonical
-``enumerate_lambda`` order.  The three-part condition is decided with numpy
-over batches of split graphs.  So one pass over a fault set's halved family
-both decides it and finds its definitional first violating split graph,
-which is the only one built.  Reported witnesses are always re-verified
+The production scan works on bitmasks (``splitting.split_layout``).  The
+predicates are invariant under relabeling a node's two copies, so each split
+node's highest-id channel stays on copy 0, which keeps the least assignment
+counter of every copy-swap class.  Both violations are monotone in arcs
+(fewer arcs mean fewer heads and fewer disjoint paths), so a split set is
+decided on the distinct, Pareto-minimal out-mask rows of its split graphs
+alone: a per-node DP folds each split node's channels onto copy 0 or copy 1,
+keeps the distinct (copy-0, copy-1) pairs after every step and the minimal
+ones at the end, and the product of those pairs across split nodes goes to
+the detector (numpy over batches for the three-part condition).  Its cost
+follows the number of minimal rows, not 2^channels.  The canonical witness,
+the definitional first violating split graph, is the least violating
+counter; it is found bit by bit from the highest free slot down by asking
+the same DP and detector whether some completion still violates, and it is
+the only split graph built.  Reported witnesses are always re-verified
 against the raw set-level definitions before being returned.
 """
 
@@ -184,47 +191,90 @@ def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the copy-swap-halved split family
+# the distinct, Pareto-minimal rows of a split set
 
 
-def _light_splits(layout: SplitLayout):
-    """Yield (counters, rows) batches that together hold one representative
-    of every copy-swap class of the split graphs of ``layout``.
-
-    ``rows`` is a (B, m) int64 array of out-masks, one row per split graph;
-    ``counters`` holds each row's assignment counter (its index in the
-    split set's ``enumerate_lambda`` range), ascending.  Swapping a split
-    node's two copies gives an isomorphic split graph and toggles all of
-    the node's counter bits, the highest of which is its highest-id slot.
-    Pinning that slot on copy 0 keeps the least counter of every class, so
-    the first violating row is the first violating split graph of the full
-    range.  A batch fills at most ``_BATCH_CELLS`` detector cells (always
-    at least one row).
-    """
-    # copy-0 bit -> that node's highest-id slot (slots ascend by id: the last one wins)
+def _pinned(layout: SplitLayout) -> dict[int, int]:
+    """Each split node's highest-id slot on copy 0: one split graph per copy swap."""
     highest = {b0: j for j, (_, b0, _, _) in enumerate(layout.slots)}
-    static = list(layout.static)
+    return dict.fromkeys(highest.values(), 0)
+
+
+def _node_rows(slots, fixed: dict[int, int]) -> set[tuple[int, int]]:
+    """The distinct (copy-0 out-mask, copy-1 out-mask) pairs of one split
+    node whose channels are ``slots``, (slot index, tail mask) pairs.
+
+    The channels ``fixed`` places (slot index -> copy) start the pair; the
+    others fold in one at a time, each on copy 0 or on copy 1, and the set
+    keeps one pair per distinct outcome after every step."""
+    start = [0, 0]
     free = []
-    for j, (_, b0, _, tm) in enumerate(layout.slots):
-        if highest[b0] == j:
-            static[b0] |= tm
+    for j, tm in slots:
+        copy = fixed.get(j)
+        if copy is None:
+            free.append(tm)
         else:
-            free.append(j)
-    total = 1 << len(free)
+            start[copy] |= tm
+    pairs = {tuple(start)}
+    for tm in free:
+        grown = set()
+        for a, b in pairs:
+            grown.add((a | tm, b))
+            grown.add((a, b | tm))
+        pairs = grown
+    return pairs
+
+
+def _pareto_minimal(pairs) -> list[tuple[int, int]]:
+    """The pairs that no other pair lies below, componentwise as bit sets.
+
+    A pair below another one has strictly fewer bits, so the pairs are taken
+    by ascending bit count and each is compared only with the kept pairs of
+    smaller count."""
+    kept: list[tuple[int, int]] = []
+    below = 0
+    size = -1
+    for a, b in sorted(pairs, key=lambda p: p[0].bit_count() + p[1].bit_count()):
+        bits = a.bit_count() + b.bit_count()
+        if bits != size:
+            size, below = bits, len(kept)
+        for ka, kb in kept[:below]:
+            if not (ka & ~a or kb & ~b):
+                break
+        else:
+            kept.append((a, b))
+    return kept
+
+
+def _light_splits(layout: SplitLayout, fixed: dict[int, int]):
+    """Yield batches of out-mask rows (lists of m ints) that decide whether
+    some split graph of ``layout`` whose assignment counter agrees with
+    ``fixed`` (slot index -> copy) has a violating partition.
+
+    Both violations are monotone in arcs: removing arcs from a split graph
+    only removes heads and disjoint paths, so a violating partition stays
+    violating.  Split nodes own disjoint columns of a row, so a row lies
+    below another exactly when each node's (copy-0, copy-1) pair does, and
+    it is enough to run the detector on the product of every split node's
+    Pareto-minimal pairs (``_node_rows``, then ``_pareto_minimal``).  A batch
+    fills at most ``_BATCH_CELLS`` detector cells (always at least one row),
+    so a layout whose rows fit is one batch.
+    """
+    nodes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, (_, b0, b1, tm) in enumerate(layout.slots):
+        nodes.setdefault((b0, b1), []).append((j, tm))
+    tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in nodes.values()]
+    combos = itertools.product(*tables)
     step = max(1, _BATCH_CELLS >> layout.m)
-    base = np.array(static, dtype=np.int64)
-    for lo in range(0, total, step):
-        light = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        rows = np.tile(base, (len(light), 1))
-        counters = np.zeros_like(light)
-        for k, j in enumerate(free):
-            _, b0, b1, tm = layout.slots[j]
-            bit = light >> k & 1
-            counters |= bit << j
-            on_copy1 = bit.astype(bool)
-            rows[:, b0] |= np.where(on_copy1, 0, tm)
-            rows[:, b1] |= np.where(on_copy1, tm, 0)
-        yield counters, rows
+    while batch := list(itertools.islice(combos, step)):
+        rows = []
+        for combo in batch:
+            row = list(layout.static)
+            for (b0, b1), (a, b) in zip(nodes, combo):
+                row[b0] = a
+                row[b1] = b
+            rows.append(row)
+        yield rows
 
 
 def _split_graph_bits(sh: SplitHypergraph) -> tuple[list[int], int, int]:
@@ -325,33 +375,46 @@ def _detector(condition: str):
 def _scan_fault_set(
     g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str, want_witness: bool = True
 ) -> tuple[bool, int, int, Violation | None]:
-    """Decide one fault set in one pass over its copy-swap-halved split
-    family, in ``enumerate_lambda`` order.
+    """Decide one fault set, one split set at a time in ``split_sets`` order.
 
-    Returns ``(holds, splits, partitions, violation)``.  A fault set that
-    holds counts its whole family: ``lambda_cardinality`` split graphs and
-    every labelling of each.  A violated one counts through its canonical
-    witness, the first violating split graph and that graph's first
-    violating partition; only the winning split graph is built.  With
+    Returns ``(holds, splits, partitions, violation)``.  Each split set is
+    decided in one pass over its distinct, Pareto-minimal rows
+    (``_light_splits`` with every node's highest-id slot pinned on copy 0).
+    The first violated one yields the canonical witness: its least violating
+    assignment counter, found bit by bit from the highest free slot down (a
+    bit stays 0 when some completion of the lower bits still violates, and
+    is 1 otherwise), then that split graph's first violating partition; only
+    the winning split graph is built.  Counters are arithmetic: a fault set
+    that holds counts its whole family, ``lambda_cardinality`` split graphs
+    and every labelling of each, and a violated one counts up to its
+    witness, as a scan in ``enumerate_lambda`` order would.  With
     ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
-    None)`` at the first violating row.
+    None)`` at the first violating batch.
     """
     detect = _detector(condition)
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
     base = _partition_base(condition)
+
+    def violated(layout: SplitLayout, fixed: dict[int, int]) -> bool:
+        return any(
+            detect(rows, layout.m, layout.fprime, f) >= 0 for rows in _light_splits(layout, fixed)
+        )
+
     splits = partitions = 0
     for x in split_sets(fset):
         layout = split_layout(g, fset, x)
         m = layout.m
-        for counters, rows in _light_splits(layout):
-            hit = detect(rows, m, layout.fprime, f)
-            if hit < 0:
-                continue
+        fixed = _pinned(layout)
+        if violated(layout, fixed):
             if not want_witness:
                 return False, 0, 0, None
-            counter = int(counters[hit])
-            assignment = {s[0]: counter >> j & 1 for j, s in enumerate(layout.slots)}
-            sh = split(g, fset, SplitSpec.make(x, assignment))
+            for j in reversed(range(len(layout.slots))):
+                if j not in fixed:
+                    fixed[j] = 0
+                    if not violated(layout, fixed):
+                        fixed[j] = 1
+            counter = sum(copy << j for j, copy in fixed.items())
+            sh = split(g, fset, SplitSpec.make(x, {layout.slots[j][0]: c for j, c in fixed.items()}))
             pidx, part = canonical(sh, f)
             return (
                 False,

@@ -43,6 +43,10 @@ from .protocol import ABSENT, TrailUniverse, flood_records, get_engine
 from .splitting import SplitHypergraph
 
 EXECUTIONS = (1, 2, 3)
+# Largest carrier trail count x phases (with a source) the harness renders;
+# the reception logs grow with it.  The n=7, f=2 golden case is 92,568; a
+# case of 534,122 (18,418 trails x 29 phases) peaked at about 800 MB.
+MAX_CARRIER_RECORDS = 250_000
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,12 @@ def _run_carrier(carrier: Carrier):
     tu_g = engine.tu
     groups = {c.id: g.bit_of[c.base_node] for c in carrier.copies}
     tu_c = TrailUniverse(carrier.graph, groups=groups)
+    phases = [ph for ph in engine.phases if ph.source is not None]
+    if tu_c.size * len(phases) > MAX_CARRIER_RECORDS:
+        raise ValueError(
+            f"the carrier has {tu_c.size} trails over {len(phases)} phases; the harness "
+            f"renders at most {MAX_CARRIER_RECORDS} carrier trails x phases"
+        )
 
     # map every carrier record to the base record its receiver reads
     base_edge = carrier.base_edge
@@ -344,9 +354,7 @@ def _run_carrier(carrier: Carrier):
                 chunks[cid].append((phase_tag, flood_tag, head + body + "\n  ]"))
 
     gamma = [c.input for c in carrier.copies]
-    for ph in engine.phases:
-        if ph.source is None:
-            continue
+    for ph in phases:
         phase_tag = tuple(sorted(ph.fault_set))
         seeds_b = frozenset(
             c.id for c in carrier.copies if c.base_node in ph.seeds_b

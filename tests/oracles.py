@@ -14,8 +14,11 @@ one trail length at a time, applying the adversary's forward map at every
 faulty hop, where the library evaluates it in closed form.
 ``first_violation_rebuilding`` is the canonical witness rescan that builds
 every split graph of ``enumerate_lambda`` in turn and decides each alone,
-where the library runs the detector in batches over the layout rows of one
-split graph per copy swap and builds only the winning split graph.
+where the library builds only the winning split graph.
+``scan_fault_set_ordered`` runs the detector in batches over the rows of
+one split graph per copy swap, in counter order, where the library decides
+a split set on its distinct, Pareto-minimal rows and finds the least
+violating counter bit by bit.
 ``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
 the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
@@ -35,7 +38,7 @@ from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
 from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
-from hyperbft.splitting import enumerate_lambda, split_layout
+from hyperbft.splitting import SplitSpec, enumerate_lambda, split, split_layout, split_sets
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,78 @@ def first_violation_rebuilding(g: DirectedHypergraph, fset, f: int, condition: s
         pidx, part = canonical(sh, f)
         return idx, skipped + pidx, conditions.Violation(frozenset(fset), sh, part)
     raise AssertionError("no violating split graph")
+
+
+def light_splits_ordered(layout):
+    """Yield (counters, rows) batches that together hold one representative
+    of every copy-swap class of the split graphs of ``layout``, by counter.
+
+    ``rows`` is a (B, m) int64 array of out-masks, one row per split graph;
+    ``counters`` holds each row's assignment counter (its index in the
+    split set's ``enumerate_lambda`` range), ascending.  Every split node's
+    highest-id slot stays on copy 0, which keeps the least counter of every
+    copy-swap class.  A batch fills at most ``conditions._BATCH_CELLS``
+    detector cells (always at least one row).
+    """
+    # copy-0 bit -> that node's highest-id slot (slots ascend by id: the last one wins)
+    highest = {b0: j for j, (_, b0, _, _) in enumerate(layout.slots)}
+    static = list(layout.static)
+    free = []
+    for j, (_, b0, _, tm) in enumerate(layout.slots):
+        if highest[b0] == j:
+            static[b0] |= tm
+        else:
+            free.append(j)
+    total = 1 << len(free)
+    step = max(1, conditions._BATCH_CELLS >> layout.m)
+    base = np.array(static, dtype=np.int64)
+    for lo in range(0, total, step):
+        light = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        rows = np.tile(base, (len(light), 1))
+        counters = np.zeros_like(light)
+        for k, j in enumerate(free):
+            _, b0, b1, tm = layout.slots[j]
+            bit = light >> k & 1
+            counters |= bit << j
+            on_copy1 = bit.astype(bool)
+            rows[:, b0] |= np.where(on_copy1, 0, tm)
+            rows[:, b1] |= np.where(on_copy1, tm, 0)
+        yield counters, rows
+
+
+def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
+    """``conditions._scan_fault_set`` as one pass over the halved family in
+    ``enumerate_lambda`` order: the detector runs on every light split's
+    row, batch by batch, and the first violating row is the witness."""
+    fset = frozenset(fset)
+    detect = conditions._detector(condition)
+    if condition == conditions.LCR:
+        canonical = conditions._canonical_lcr_partition
+    else:
+        canonical = conditions._canonical_ab_partition
+    base = conditions._partition_base(condition)
+    splits = partitions = 0
+    for x in split_sets(fset):
+        layout = split_layout(g, fset, x)
+        m = layout.m
+        for counters, rows in light_splits_ordered(layout):
+            hit = detect(rows, m, layout.fprime, f)
+            if hit < 0:
+                continue
+            counter = int(counters[hit])
+            assignment = {s[0]: counter >> j & 1 for j, s in enumerate(layout.slots)}
+            sh = split(g, fset, SplitSpec.make(x, assignment))
+            pidx, part = canonical(sh, f)
+            return (
+                False,
+                splits + counter + 1,
+                partitions + counter * base ** m + pidx + 1,
+                conditions.Violation(fset, sh, part),
+            )
+        family = 1 << len(layout.slots)
+        splits += family
+        partitions += family * base ** m
+    return True, splits, partitions, None
 
 
 def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) -> bool:

@@ -12,7 +12,10 @@ from hyperbft.conditions import (
     LCR,
     MAX_LCR_NODES,
     _lcr_split_violated,
+    _light_splits,
+    _node_rows,
     _partition_base,
+    _pinned,
     _scan_fault_set,
     check_ab_hyper,
     check_lcr_hyper,
@@ -29,11 +32,13 @@ from hyperbft.generators import (
     two_channel_example,
 )
 from hyperbft.hypergraph import DirectedHypergraph
-from hyperbft.splitting import lambda_cardinality, split_sets
+from hyperbft.splitting import lambda_cardinality, split_layout, split_sets
 
 from oracles import (
     first_violation_rebuilding,
     lcr_split_violated_loop,
+    light_splits_ordered,
+    scan_fault_set_ordered,
     simple_ab_check,
     simple_lcr_check,
 )
@@ -249,3 +254,66 @@ def test_rescan_builds_only_the_winning_split(monkeypatch, g, fset, condition, s
     holds, witness = check_with_fault_set(g, fset, 1, condition)
     assert not holds and witness == violation
     assert len(built) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from((LCR, AB)),
+)
+# witnesses that put channels of one or two split nodes on copy 1
+@example(6, 8, 4, 2, LCR)
+@example(5, 15, 71, 2, LCR)
+@example(3, 9, 5, 1, AB)
+@example(4, 8, 16, 1, AB)
+def test_minimal_row_scan_matches_the_ordered_scan(n, channels, seed, f, condition) -> None:
+    """Deciding each split set on its Pareto-minimal rows and finding the
+    least violating counter bit by bit gives the ordered scan's verdict,
+    counters and witness."""
+    if condition == AB:
+        n = min(n, 4)
+    g = random_hypergraph(n, channels, seed)
+    for fset in subsets_by_cardinality(g.nodes, f):
+        got = _scan_fault_set(g, fset, f, condition)
+        assert got == scan_fault_set_ordered(g, fset, f, condition)
+
+
+def _rows_below(row, minimal) -> bool:
+    return any(all(lo & ~hi == 0 for lo, hi in zip(low, row)) for low in minimal)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=2),
+)
+def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
+    """The product of every split node's distinct pairs is exactly the set
+    of ordered-scan rows, each of those rows lies on or above a row that
+    ``_light_splits`` yields, and those rows are pairwise incomparable."""
+    g = random_hypergraph(n, channels, seed)
+    x = sorted(g.nodes)[:k]
+    layout = split_layout(g, x, x)
+    fixed = _pinned(layout)
+    nodes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, (_, b0, b1, tm) in enumerate(layout.slots):
+        nodes.setdefault((b0, b1), []).append((j, tm))
+    distinct = [list(layout.static)]
+    for (b0, b1), slots in nodes.items():
+        grown = []
+        for row in distinct:
+            for a, b in _node_rows(slots, fixed):
+                grown.append(list(row))
+                grown[-1][b0], grown[-1][b1] = a, b
+        distinct = grown
+    ordered = {tuple(r) for _, rows in light_splits_ordered(layout) for r in rows.tolist()}
+    assert {tuple(r) for r in distinct} == ordered
+    minimal = [tuple(r) for rows in _light_splits(layout, fixed) for r in rows]
+    assert set(minimal) <= ordered
+    assert all(_rows_below(row, minimal) for row in ordered)
+    assert all(not _rows_below(row, [low for low in minimal if low != row]) for row in minimal)

@@ -5,7 +5,7 @@ import pytest
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.generators import complete_p2p, sample_condition_violating
 from hyperbft.necessity import _run_carrier, build_carrier, build_necessity_executions
-from hyperbft import protocol
+from hyperbft import necessity, protocol
 from hyperbft.protocol import get_engine
 
 from oracles import carrier_logs
@@ -105,3 +105,14 @@ def test_trail_limit_covers_the_carrier_universe(monkeypatch) -> None:
     monkeypatch.setattr(protocol, "MAX_TRAILS", base_trails)
     with pytest.raises(ValueError, match=f"more than {base_trails} simple trails"):
         _run_carrier(carrier)
+
+
+def test_carrier_size_guard_refuses_before_any_log(monkeypatch) -> None:
+    g = complete_p2p(3)   # 30 carrier trails over 4 phases with a source
+    monkeypatch.setattr(necessity, "MAX_CARRIER_RECORDS", 30 * 4 - 1)
+    monkeypatch.setattr(necessity, "flood_records", lambda *args: pytest.fail("log rendered"))
+    with pytest.raises(ValueError, match="30 trails over 4 phases"):
+        build_necessity_executions(g, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(necessity, "MAX_CARRIER_RECORDS", 30 * 4)
+    assert build_necessity_executions(g, 1).ok

@@ -13,6 +13,7 @@ from hyperbft.generators import (
     cycle_local_broadcast,
     path_local_broadcast,
     random_p2p,
+    sample_undirected_hypergraphs,
 )
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.reductions import (
@@ -76,6 +77,13 @@ def test_exhaustive_cross_validation_tiny() -> None:
         assert cross_validate_reduction(g, 1, "local").agree
     for g in all_undirected_hypergraphs(3):
         assert cross_validate_reduction(g, 1, "undirected").agree
+
+
+def test_undirected_cross_validation_at_two_faults() -> None:
+    # n=5 nodes with up to 15 channels each: two split nodes give up to
+    # 2^14 x 2^14 light splits per split set, but few minimal rows
+    for g in sample_undirected_hypergraphs(5, 25, 3):
+        assert cross_validate_reduction(g, 2, "undirected").agree
 
 
 def test_cross_validation_rejects_wrong_class() -> None:
