@@ -49,10 +49,14 @@ from .splitting import (
 LCR = "lcr-hyper"
 AB = "ab-hyper"
 
-# Largest split graph the LCR detector accepts.  Its tables take 8 bytes per
-# subset of the m nodes, so the peak allocation at m = 26 is 512 MiB and
-# doubles with every further node.
+# Largest split graph the LCR scan accepts.  The detector's tables take 8
+# bytes per subset of the m nodes, so the peak allocation at m = 26 is
+# 512 MiB and doubles with every further node.
 MAX_LCR_NODES = 26
+# Most distinct (copy-0, copy-1) out-mask pairs the split-row DP holds for
+# one split node; a node whose d channels have distinct single tails has
+# 2^(d-1) of them.
+MAX_SPLIT_PAIRS = 1 << 18
 # Detector cells (rows x 2^m) per batch of split graphs.
 _BATCH_CELLS = 1 << 16
 
@@ -130,6 +134,15 @@ def propagates(
 # violation detectors (bitmask level)
 
 
+def _admit_lcr(m: int) -> None:
+    """Refuse an LCR detector table over more than ``MAX_LCR_NODES`` nodes."""
+    if m > MAX_LCR_NODES:
+        raise ValueError(
+            f"split graph has {m} nodes; the LCR detector handles at most "
+            f"{MAX_LCR_NODES} (its tables grow as 2^m)"
+        )
+
+
 def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The index of the first split graph of a batch that has a violating
     (L, C, R) partition, or -1 when none has.
@@ -141,11 +154,7 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     disjoint pair of non-empty bad sets (L, R; C is whatever remains): some
     bad X whose complement contains a bad set.
     """
-    if m > MAX_LCR_NODES:
-        raise ValueError(
-            f"split graph has {m} nodes; the LCR detector handles at most "
-            f"{MAX_LCR_NODES} (its tables grow as 2^m)"
-        )
+    _admit_lcr(m)
     outs = np.asarray(out_bits, dtype=np.uint32)
     rows = len(outs)
     size = 1 << m
@@ -194,10 +203,18 @@ def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> int:
 # the distinct, Pareto-minimal rows of a split set
 
 
-def _pinned(layout: SplitLayout) -> dict[int, int]:
+def _slot_groups(layout: SplitLayout) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Each split node's (copy-0 bit, copy-1 bit) -> its channels, as
+    (slot index, tail mask) pairs in ascending slot order."""
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, (_, b0, b1, tm) in enumerate(layout.slots):
+        groups.setdefault((b0, b1), []).append((j, tm))
+    return groups
+
+
+def _pinned(groups: dict[tuple[int, int], list[tuple[int, int]]]) -> dict[int, int]:
     """Each split node's highest-id slot on copy 0: one split graph per copy swap."""
-    highest = {b0: j for j, (_, b0, _, _) in enumerate(layout.slots)}
-    return dict.fromkeys(highest.values(), 0)
+    return {slots[-1][0]: 0 for slots in groups.values()}
 
 
 def _node_rows(slots, fixed: dict[int, int]) -> set[tuple[int, int]]:
@@ -206,7 +223,8 @@ def _node_rows(slots, fixed: dict[int, int]) -> set[tuple[int, int]]:
 
     The channels ``fixed`` places (slot index -> copy) start the pair; the
     others fold in one at a time, each on copy 0 or on copy 1, and the set
-    keeps one pair per distinct outcome after every step."""
+    keeps one pair per distinct outcome after every step.  More than
+    ``MAX_SPLIT_PAIRS`` pairs raise ``ValueError``."""
     start = [0, 0]
     free = []
     for j, tm in slots:
@@ -221,6 +239,10 @@ def _node_rows(slots, fixed: dict[int, int]) -> set[tuple[int, int]]:
         for a, b in pairs:
             grown.add((a | tm, b))
             grown.add((a, b | tm))
+        if len(grown) > MAX_SPLIT_PAIRS:
+            raise ValueError(
+                f"a split node has more than {MAX_SPLIT_PAIRS} distinct out-mask pairs"
+            )
         pairs = grown
     return pairs
 
@@ -246,10 +268,11 @@ def _pareto_minimal(pairs) -> list[tuple[int, int]]:
     return kept
 
 
-def _light_splits(layout: SplitLayout, fixed: dict[int, int]):
+def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int]):
     """Yield batches of out-mask rows (lists of m ints) that decide whether
     some split graph of ``layout`` whose assignment counter agrees with
-    ``fixed`` (slot index -> copy) has a violating partition.
+    ``fixed`` (slot index -> copy) has a violating partition.  ``groups``
+    is ``_slot_groups(layout)``.
 
     Both violations are monotone in arcs: removing arcs from a split graph
     only removes heads and disjoint paths, so a violating partition stays
@@ -260,17 +283,14 @@ def _light_splits(layout: SplitLayout, fixed: dict[int, int]):
     fills at most ``_BATCH_CELLS`` detector cells (always at least one row),
     so a layout whose rows fit is one batch.
     """
-    nodes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, (_, b0, b1, tm) in enumerate(layout.slots):
-        nodes.setdefault((b0, b1), []).append((j, tm))
-    tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in nodes.values()]
+    tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
     combos = itertools.product(*tables)
     step = max(1, _BATCH_CELLS >> layout.m)
     while batch := list(itertools.islice(combos, step)):
         rows = []
         for combo in batch:
             row = list(layout.static)
-            for (b0, b1), (a, b) in zip(nodes, combo):
+            for (b0, b1), (a, b) in zip(groups, combo):
                 row[b0] = a
                 row[b1] = b
             rows.append(row)
@@ -360,8 +380,9 @@ def _partition_base(condition: str) -> int:
 def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The reference AB detector over a batch, one split graph at a time:
     the index of the first violating row, or -1."""
-    rows = np.asarray(out_bits).tolist()
-    return next((i for i, r in enumerate(rows) if _ab_split_violated(r, m, fprime, f) >= 0), -1)
+    return next(
+        (i for i, r in enumerate(out_bits) if _ab_split_violated(r, m, fprime, f) >= 0), -1
+    )
 
 
 def _detector(condition: str):
@@ -390,28 +411,36 @@ def _scan_fault_set(
     witness, as a scan in ``enumerate_lambda`` order would.  With
     ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
     None)`` at the first violating batch.
+
+    An LCR split graph of more than ``MAX_LCR_NODES`` nodes raises
+    ``ValueError`` before any row of its split set is built, and so does a
+    split node with more than ``MAX_SPLIT_PAIRS`` distinct pairs.
     """
     detect = _detector(condition)
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
     base = _partition_base(condition)
 
-    def violated(layout: SplitLayout, fixed: dict[int, int]) -> bool:
+    def violated(layout: SplitLayout, groups, fixed: dict[int, int]) -> bool:
         return any(
-            detect(rows, layout.m, layout.fprime, f) >= 0 for rows in _light_splits(layout, fixed)
+            detect(rows, layout.m, layout.fprime, f) >= 0
+            for rows in _light_splits(layout, groups, fixed)
         )
 
     splits = partitions = 0
     for x in split_sets(fset):
         layout = split_layout(g, fset, x)
         m = layout.m
-        fixed = _pinned(layout)
-        if violated(layout, fixed):
+        if condition == LCR:
+            _admit_lcr(m)  # before the DP builds any pair
+        groups = _slot_groups(layout)
+        fixed = _pinned(groups)
+        if violated(layout, groups, fixed):
             if not want_witness:
                 return False, 0, 0, None
             for j in reversed(range(len(layout.slots))):
                 if j not in fixed:
                     fixed[j] = 0
-                    if not violated(layout, fixed):
+                    if not violated(layout, groups, fixed):
                         fixed[j] = 1
             counter = sum(copy << j for j, copy in fixed.items())
             sh = split(g, fset, SplitSpec.make(x, {layout.slots[j][0]: c for j, c in fixed.items()}))

@@ -314,7 +314,7 @@ def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
         layout = split_layout(g, fset, x)
         m = layout.m
         for counters, rows in light_splits_ordered(layout):
-            hit = detect(rows, m, layout.fprime, f)
+            hit = detect(rows.tolist(), m, layout.fprime, f)
             if hit < 0:
                 continue
             counter = int(counters[hit])

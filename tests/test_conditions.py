@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
@@ -11,12 +12,14 @@ from hyperbft.conditions import (
     AB,
     LCR,
     MAX_LCR_NODES,
+    MAX_SPLIT_PAIRS,
     _lcr_split_violated,
     _light_splits,
     _node_rows,
     _partition_base,
     _pinned,
     _scan_fault_set,
+    _slot_groups,
     check_ab_hyper,
     check_lcr_hyper,
     check_with_fault_set,
@@ -200,6 +203,38 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
         check_ab_hyper(cycle_local_broadcast(63), 0)
 
 
+def test_oversized_split_set_is_refused_before_its_rows(monkeypatch) -> None:
+    """complete_p2p(8) plus 22 channels of node 0 with distinct two- and
+    three-node tails holds unsplit at f=1; splitting node 0 passes the node
+    limit, which is refused before the DP builds its millions of pairs."""
+    tails = [t for k in (2, 3) for t in itertools.combinations(range(1, 8), k)][:22]
+    base = complete_p2p(8)
+    g = DirectedHypergraph.from_edge_tuples(
+        8, [(e.head, tuple(e.tails)) for e in base.edges] + [(0, t) for t in tails]
+    )
+    monkeypatch.setattr(conditions, "MAX_LCR_NODES", 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="split graph has 9 nodes"):
+            check_with_fault_set(g, {0}, 1, LCR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_split_pair_bound_refuses_a_wide_split_node(monkeypatch) -> None:
+    """complete_p2p(6) splits node 0 into 2^4 distinct pairs: admitted by
+    the default bound, refused by a bound of 8, for both conditions."""
+    g = complete_p2p(6)
+    assert MAX_SPLIT_PAIRS >= 16
+    assert check_with_fault_set(g, {0}, 1, LCR)[0]
+    monkeypatch.setattr(conditions, "MAX_SPLIT_PAIRS", 8)
+    for condition in (LCR, AB):
+        with pytest.raises(ValueError, match="more than 8 distinct out-mask pairs"):
+            check_with_fault_set(g, {0}, 1, condition)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=2, max_value=5),
@@ -299,12 +334,10 @@ def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
     g = random_hypergraph(n, channels, seed)
     x = sorted(g.nodes)[:k]
     layout = split_layout(g, x, x)
-    fixed = _pinned(layout)
-    nodes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, (_, b0, b1, tm) in enumerate(layout.slots):
-        nodes.setdefault((b0, b1), []).append((j, tm))
+    groups = _slot_groups(layout)
+    fixed = _pinned(groups)
     distinct = [list(layout.static)]
-    for (b0, b1), slots in nodes.items():
+    for (b0, b1), slots in groups.items():
         grown = []
         for row in distinct:
             for a, b in _node_rows(slots, fixed):
@@ -313,7 +346,7 @@ def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
         distinct = grown
     ordered = {tuple(r) for _, rows in light_splits_ordered(layout) for r in rows.tolist()}
     assert {tuple(r) for r in distinct} == ordered
-    minimal = [tuple(r) for rows in _light_splits(layout, fixed) for r in rows]
+    minimal = [tuple(r) for rows in _light_splits(layout, groups, fixed) for r in rows]
     assert set(minimal) <= ordered
     assert all(_rows_below(row, minimal) for row in ordered)
     assert all(not _rows_below(row, [low for low in minimal if low != row]) for row in minimal)

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperbft.conditions import check_lcr_hyper
+from hyperbft.conditions import MAX_LCR_NODES, check_lcr_hyper
 from hyperbft.generators import (
     all_local_broadcast_graphs,
     all_p2p_graphs,
@@ -84,6 +84,12 @@ def test_undirected_cross_validation_at_two_faults() -> None:
     # 2^14 x 2^14 light splits per split set, but few minimal rows
     for g in sample_undirected_hypergraphs(5, 25, 3):
         assert cross_validate_reduction(g, 2, "undirected").agree
+
+
+def test_reduced_check_refuses_an_oversized_graph() -> None:
+    assert MAX_LCR_NODES < 30
+    with pytest.raises(ValueError, match="split graph has 30 nodes"):
+        check_lcr_local(cycle_local_broadcast(30), 0)
 
 
 def test_cross_validation_rejects_wrong_class() -> None:
