@@ -9,7 +9,7 @@ split of every subset of F, and every partition of the split graph's nodes:
   node of B - F' via f+1 node-disjoint paths once B's fault copies are
   removed, or symmetrically with A and B swapped.
 
-The production scan works on bitmasks (``splitting.split_layout``).  The
+The production scan works on bitmasks (``splitting.split_layouts``).  The
 predicates are invariant under relabeling a node's two copies, so each split
 node's highest-id channel stays on copy 0, which keeps the least assignment
 counter of every copy-swap class.  Both violations are monotone in arcs
@@ -18,18 +18,33 @@ decided on the distinct, Pareto-minimal out-mask rows of its split graphs
 alone: a per-node DP folds each split node's channels onto copy 0 or copy 1,
 keeps the distinct (copy-0, copy-1) pairs after every step and the minimal
 ones at the end, and the product of those pairs across split nodes goes to
-the detector (numpy over batches for the three-part condition).  Its cost
-follows the number of minimal rows, not 2^channels.  The canonical witness,
-the definitional first violating split graph, is the least violating
-counter; it is found bit by bit from the highest free slot down by asking
-the same DP and detector whether some completion still violates, and it is
-the only split graph built.  Reported witnesses are always re-verified
-against the raw set-level definitions before being returned.
+the detector.  Its cost follows the number of minimal rows, not 2^channels.
+The canonical witness, the definitional first violating split graph, is the
+least violating counter; it is found bit by bit from the highest free slot
+down by asking the same DP and detector whether some completion still
+violates, and it is the only split graph built.  Reported witnesses are
+always re-verified against the raw set-level definitions before being
+returned.
+
+The three-part condition fails exactly when two disjoint sets are *bad*: a
+set P is bad when P - F' is non-empty and at most f heads outside P point
+into it.  For a fixed head set H, the least bad set with heads in H that
+holds a node x outside F' is the closure cl_H(x) (x, then every in-neighbour
+outside H of each member outside F', and so on), and every bad set contains
+one, so the inclusion-minimal bad sets are closures and a split graph
+violates exactly when two closures are disjoint.  The detector grows the
+C(m, f) * m closures of each split graph at once and pair-tests the distinct
+ones, polynomial in m for fixed f; where the 2^m subset table costs fewer
+cells (small m, or f >= 2 on up to 19 nodes) it runs the table instead.  The
+canonical (L, C, R) labelling is built digit by digit from the same
+closures, with no scan over the 3^m labellings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,22 +57,33 @@ from .splitting import (
     SplitLayout,
     SplitSpec,
     split,
-    split_layout,
-    split_sets,
+    split_layouts,
 )
 
 LCR = "lcr-hyper"
 AB = "ab-hyper"
 
-# Largest split graph the LCR scan accepts.  The detector's tables take 8
-# bytes per subset of the m nodes, so the peak allocation at m = 26 is
-# 512 MiB and doubles with every further node.
+# Largest split graph the LCR detector's table path accepts.  Its tables
+# take 8 bytes per subset of the m nodes, so the peak allocation at m = 26
+# is 512 MiB and doubles with every further node.
 MAX_LCR_NODES = 26
+# Most closure pairs, (C(m, min(f, m)) * m)^2, the closure path accepts per
+# split graph; split graphs that pass both limits are refused.  At the limit
+# a detector call's traced peak stays under 4 MiB (int64 closures, pairs
+# compared in blocks), so the limit bounds time: a worst-case pair test,
+# 32,768 distinct closures that pairwise intersect, takes about 1.3 s.
+MAX_CLOSURE_PAIRS = 1 << 30
+# Closure pairs compared at once by the pair test, and the pair count above
+# which it first drops repeated closures (below it, sorting costs more than
+# the repeats do).
+_PAIR_BLOCK = 1 << 18
+_DEDUP_CELLS = 1 << 12
 # Most distinct (copy-0, copy-1) out-mask pairs the split-row DP holds for
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
 MAX_SPLIT_PAIRS = 1 << 18
-# Detector cells (rows x 2^m) per batch of split graphs.
+# Table cells (rows x 2^m) per batch of split graphs; the closure path,
+# which loops over a batch's rows, takes the same batches.
 _BATCH_CELLS = 1 << 16
 
 
@@ -134,13 +160,84 @@ def propagates(
 # violation detectors (bitmask level)
 
 
-def _admit_lcr(m: int) -> None:
-    """Refuse an LCR detector table over more than ``MAX_LCR_NODES`` nodes."""
-    if m > MAX_LCR_NODES:
-        raise ValueError(
-            f"split graph has {m} nodes; the LCR detector handles at most "
-            f"{MAX_LCR_NODES} (its tables grow as 2^m)"
-        )
+@functools.lru_cache(maxsize=None)
+def _closure_count(m: int, f: int) -> int:
+    """Closures the closure path grows per m-node split graph: one per head
+    set of size min(f, m) and seed node."""
+    return math.comb(m, min(f, m)) * m
+
+
+def _lcr_uses_closures(m: int, f: int) -> bool:
+    """Whether the LCR detector decides m-node split graphs by closures
+    rather than by the subset table: the closure path when it is admitted
+    and its cells (Warshall steps plus closure pairs) are fewer than the
+    table's m * 2^m, or when the table is not admitted.  Raises
+    ``ValueError`` when neither path admits m."""
+    closures = _closure_count(m, f)
+    pairs = closures * closures
+    if m <= MAX_LCR_NODES:
+        return pairs <= MAX_CLOSURE_PAIRS and closures * m + pairs < m << m
+    if pairs <= MAX_CLOSURE_PAIRS:
+        return True
+    raise ValueError(
+        f"split graph has {m} nodes; at f={f} the LCR detector's table takes at most "
+        f"{MAX_LCR_NODES} nodes (it grows as 2^m) and its closure pairs at most "
+        f"{MAX_CLOSURE_PAIRS} (here {closures}^2)"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _head_sets(universe: int, k: int) -> np.ndarray:
+    """Every k-node subset of the bits of ``universe``, as read-only int64
+    masks (the array is shared by every caller)."""
+    bits = [1 << b for b in range(universe.bit_length()) if universe >> b & 1]
+    heads = np.array([sum(c) for c in itertools.combinations(bits, k)], dtype=np.int64)
+    heads.flags.writeable = False
+    return heads
+
+
+def _closures(outs: np.ndarray, m: int, fprime: int, heads: np.ndarray) -> np.ndarray:
+    """cl[b, h, v]: the least set that holds v and every in-neighbour outside
+    ``heads[h]`` of each of its members outside F', in row b of ``outs``
+    (shape (B, m), int64).  A bitmask Warshall over shape (B, H, m); a node
+    of F' adds nothing as a pivot, since its own closure is itself."""
+    bit = np.int64(1) << np.arange(m, dtype=np.int64)
+    arcs = (outs[:, :, None] & (bit & ~fprime)) != 0     # arcs[b, u, v]: u -> v, v not in F'
+    cl = (bit @ arcs)[:, None, :] & ~heads[:, None] | bit  # in-neighbours outside H, and v
+    for k in range(m):
+        if not fprime >> k & 1:
+            cl |= np.where(cl & (1 << k), cl[:, :, k, None], 0)
+    return cl
+
+
+def _distinct(masks: np.ndarray) -> np.ndarray:
+    """The distinct values of ``masks``, sorted (``np.unique`` without the
+    ``numpy.ma`` import it brings)."""
+    masks = np.sort(masks)
+    if len(masks) > 1:
+        masks = masks[np.append(True, masks[1:] != masks[:-1])]
+    return masks
+
+
+def _disjoint_pair(left: np.ndarray, right: np.ndarray | None = None) -> tuple[int, int] | None:
+    """A mask of ``left`` and a mask of ``right`` (``left`` itself when
+    None) that share no bit, or None.  Sides with more than
+    ``_DEDUP_CELLS`` pairs are deduplicated first, and the pairs are
+    compared in blocks of at most ``_PAIR_BLOCK`` cells."""
+    if right is None:
+        right = left
+    if not len(right):
+        return None
+    if len(left) * len(right) > _DEDUP_CELLS:
+        left = _distinct(left)
+        right = left if right is left else _distinct(right)
+    step = max(1, _PAIR_BLOCK // len(right))
+    for i in range(0, len(left), step):
+        block = left[i:i + step, None] & right
+        k = int(block.argmin())   # masks are non-negative: a zero is the least cell
+        if block.flat[k] == 0:
+            return int(left[i + k // len(right)]), int(right[k % len(right)])
+    return None
 
 
 def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
@@ -150,11 +247,35 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     ``out_bits`` holds one row of m out-masks per split graph (shape (B, m));
     the rows share m and the fault-copy mask ``fprime``.  Both failing
     clauses reduce to the one-argument predicate
-    bad(P) := not adjacent(V' - P, P - F'), so a violation is exactly a
-    disjoint pair of non-empty bad sets (L, R; C is whatever remains): some
-    bad X whose complement contains a bad set.
+    bad(P) := P - F' is non-empty and at most f heads outside P point into
+    it, so a violation is exactly a disjoint pair of bad sets (L, R; C is
+    whatever remains).
+
+    Two paths decide that, chosen by ``_lcr_uses_closures`` from (m, f):
+
+    * the closure path.  The bad sets whose heads lie in a fixed head set H
+      are closed under union and intersection, and the least one holding a
+      node x outside F' is the closure cl_H(x): x, every in-neighbour
+      outside H of each member outside F', and so on.  Every bad set
+      contains such a closure (its own heads, padded to min(f, m) nodes,
+      and any x of P - F'), so the inclusion-minimal bad sets are closures,
+      and a split graph violates exactly when two closures are disjoint.
+      Cost: C(m, f) * m closures, m Warshall steps over them, and a pair
+      test over the distinct ones; polynomial in m for fixed f.
+    * the table path: heads[b, P] for all 2^m sets P, then a subset-sum
+      transform marks the sets that contain a bad set, and a bad X whose
+      complement is marked violates.  Cost m * 2^m cells per row.
     """
-    _admit_lcr(m)
+    if _lcr_uses_closures(m, f):
+        seeds = [v for v in range(m) if not fprime >> v & 1]
+        if not seeds:
+            return -1
+        outs = np.asarray(out_bits, dtype=np.int64)
+        cl = _closures(outs, m, fprime, _head_sets((1 << m) - 1, min(f, m)))[:, :, seeds]
+        for b, row in enumerate(cl.reshape(len(outs), -1)):
+            if _disjoint_pair(row) is not None:
+                return b
+        return -1
     outs = np.asarray(out_bits, dtype=np.uint32)
     rows = len(outs)
     size = 1 << m
@@ -280,7 +401,7 @@ def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int]):
     below another exactly when each node's (copy-0, copy-1) pair does, and
     it is enough to run the detector on the product of every split node's
     Pareto-minimal pairs (``_node_rows``, then ``_pareto_minimal``).  A batch
-    fills at most ``_BATCH_CELLS`` detector cells (always at least one row),
+    fills at most ``_BATCH_CELLS`` table cells (always at least one row),
     so a layout whose rows fit is one batch.
     """
     tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
@@ -314,38 +435,73 @@ def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int,
     violates when L and R are non-empty, at most f heads of L u C point into
     R - F' and at most f heads of R u C point into L - F'.  Returns (index,
     L mask, C mask, R mask).
+
+    The labelling is built digit by digit, trying L, then C, then R, and a
+    digit stays when some completion of the prefix still violates.  With the
+    labelled nodes forced onto L, C and R, that holds exactly when some head
+    sets H1, H2 and nodes x, y outside F' give closures
+    A = cl_H1(L u {x}) and B = cl_H2(R u {y}) (see ``_lcr_split_violated``)
+    that are disjoint, A avoids C u R and B avoids C u L: A and B are then
+    the least bad sets on each side.  A closure of a set is the union of its
+    members' closures, so a test is one pair test.  The last pair found
+    stays a witness for whichever digit it allows, so that digit needs no
+    test, and after the first pair no digit needs more than two.  The
+    index is sum(d_i * 3^(len(bits) - 1 - i)).  The search raises
+    ``ValueError`` when its closures pass ``MAX_CLOSURE_PAIRS``, which only
+    a split graph that the table decided can reach.
     """
+    bits = list(bits)
+    if _closure_count(len(bits), f) ** 2 > MAX_CLOSURE_PAIRS:
+        raise ValueError(
+            f"the canonical witness over {len(bits)} nodes at f={f} needs more than "
+            f"{MAX_CLOSURE_PAIRS} closure pairs"
+        )
     universe = 0
     for b in bits:
         universe |= 1 << b
+    m = len(out)
+    outs = np.array([[o if universe >> u & 1 else 0 for u, o in enumerate(out)]], dtype=np.int64)
+    cl = _closures(outs, m, fprime, _head_sets(universe, min(f, len(bits))))[0]
+    seeds = cl[:, [b for b in bits if not fprime >> b & 1]]
 
-    def adjacent(heads_mask: int, into_mask: int) -> bool:
-        if not into_mask:
-            return True
-        count = 0
-        rest = heads_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if out[low.bit_length() - 1] & into_mask:
-                count += 1
-                if count > f:
-                    return True
-        return False
-
-    for idx, digits in enumerate(itertools.product((0, 1, 2), repeat=len(bits))):
-        masks = [0, 0, 0]
-        for b, dg in zip(bits, digits):
-            masks[dg] |= 1 << b
+    def violating_pair(masks, closed) -> tuple[int, int] | None:
+        """Least bad sets (A, B) of a violating completion of the forced
+        (L, C, R) masks, or None; ``closed`` holds each head set's closure
+        of the forced L and of the forced R."""
         lm, cm, rm = masks
-        if not lm or not rm:
-            continue
-        if adjacent(universe & ~rm, rm & ~fprime):
-            continue
-        if adjacent(universe & ~lm, lm & ~fprime):
-            continue
-        return idx, lm, cm, rm
-    raise AssertionError("violation vanished during canonical rescan")
+        a = closed[0][:, None] | seeds
+        b = closed[2][:, None] | seeds
+        return _disjoint_pair(a[(a & (cm | rm)) == 0], b[(b & (cm | lm)) == 0])
+
+    zero = np.zeros(len(cl), dtype=np.int64)
+    masks, closed = [0, 0, 0], [zero, None, zero]
+    pair = None
+    idx = 0
+    for b in bits:
+        # once a pair (A, B) is found it stays two disjoint bad sets, A
+        # holding L and avoiding C u R, B holding R and avoiding C u L: b on
+        # L keeps it when b is in A, on C when b is in neither, on R when b
+        # is in B, so only the digits tried before that one need a test
+        bit = 1 << b
+        keeps = pair and (pair[0] & bit, not (pair[0] | pair[1]) & bit, pair[1] & bit)
+        for digit in (0, 1, 2):
+            trial = masks.copy()
+            trial[digit] |= bit
+            grown = closed.copy()
+            if digit != 1:
+                grown[digit] = closed[digit] | cl[:, b]
+            if keeps and keeps[digit]:
+                break
+            if found := violating_pair(trial, grown):
+                pair = found
+                break
+        else:
+            break   # no digit keeps a violation; only before the first pair
+        masks, closed = trial, grown
+        idx = 3 * idx + digit
+    if pair is None:
+        raise AssertionError("violation vanished during canonical rescan")
+    return idx, *masks
 
 
 def _canonical_lcr_partition(sh: SplitHypergraph, f: int) -> tuple[int, PartitionLCR]:
@@ -412,9 +568,11 @@ def _scan_fault_set(
     ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
     None)`` at the first violating batch.
 
-    An LCR split graph of more than ``MAX_LCR_NODES`` nodes raises
-    ``ValueError`` before any row of its split set is built, and so does a
-    split node with more than ``MAX_SPLIT_PAIRS`` distinct pairs.
+    An LCR split graph that neither detector path admits (more than
+    ``MAX_LCR_NODES`` nodes and more than ``MAX_CLOSURE_PAIRS`` closure
+    pairs) raises ``ValueError`` before any row of its split set is built,
+    and so does a split node with more than ``MAX_SPLIT_PAIRS`` distinct
+    pairs.
     """
     detect = _detector(condition)
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
@@ -427,11 +585,10 @@ def _scan_fault_set(
         )
 
     splits = partitions = 0
-    for x in split_sets(fset):
-        layout = split_layout(g, fset, x)
+    for x, layout in split_layouts(g, fset):
         m = layout.m
         if condition == LCR:
-            _admit_lcr(m)  # before the DP builds any pair
+            _lcr_uses_closures(m, f)  # admits m before the DP builds any pair
         groups = _slot_groups(layout)
         fixed = _pinned(groups)
         if violated(layout, groups, fixed):

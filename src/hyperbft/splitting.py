@@ -4,7 +4,8 @@ Splitting a node v yields copies v0 and v1.  Every hyperedge that had v among
 its tails now reaches both copies; every hyperedge headed by v is assigned to
 exactly one copy.  The family of all splits of all subsets of a candidate
 fault set F captures every way faulty nodes could present two personas.
-``split_layout`` is the bitmask form that the checker and the simulator read.
+``split_layout`` (``split_layouts`` for every split set of a fault set) is the
+bitmask form that the checker and the simulator read.
 """
 
 from __future__ import annotations
@@ -200,32 +201,57 @@ class SplitLayout:
         return out
 
 
+def _layouts(
+    g: DirectedHypergraph, fault_set: Iterable[int], xs: Iterable[Iterable[int]]
+) -> Iterator[SplitLayout]:
+    """The layout of each split set of ``xs``, subsets of ``fault_set``.  The
+    channels that touch the fault set (headed in it or with a tail in it)
+    are collected once; every other channel keeps its base out-mask
+    (``out_union_masks``), so a split set lifts and places only the touching
+    ones."""
+    n0 = len(g.node_order)
+    bit = g.bit_of
+    base_fprime = g.mask_of(fault_set)
+    touching = sorted(
+        (e.id, bit[e.head], t)
+        for e, t in zip(g.edges, g.tail_masks)
+        if t & base_fprime or base_fprime >> bit[e.head] & 1
+    )
+    for x in xs:
+        copies = {bit[v]: n0 + k for k, v in enumerate(sorted(x))}
+        m = n0 + len(copies)
+        if m > _MASK_BITS:
+            raise ValueError(f"split graph has {m} nodes; out-masks hold at most {_MASK_BITS}")
+        static = list(g.out_union_masks) + [0] * len(copies)
+        fprime = base_fprime
+        for b0, b1 in copies.items():
+            static[b0] = 0
+            fprime |= 1 << b1
+        slots = []
+        for eid, head, t in touching if copies else ():
+            for b0, b1 in copies.items():
+                t |= (t >> b0 & 1) << b1
+            if head in copies:
+                slots.append((eid, head, copies[head], t))
+            else:
+                static[head] |= t
+        yield SplitLayout(m, fprime, tuple(static), tuple(slots))
+
+
 def split_layout(
     g: DirectedHypergraph, fault_set: Iterable[int], x: Iterable[int]
 ) -> SplitLayout:
     """The bit layout of the splits of ``x``, a subset of ``fault_set``."""
-    xs = sorted(x)
-    n0 = len(g.node_order)
-    m = n0 + len(xs)
-    if m > _MASK_BITS:
-        raise ValueError(f"split graph has {m} nodes; out-masks hold at most {_MASK_BITS}")
-    bit = g.bit_of
-    copies = {bit[v]: n0 + k for k, v in enumerate(xs)}
-    static = [0] * m
-    slots = []
-    for e, t in zip(g.edges, g.tail_masks):
-        for b0, b1 in copies.items():
-            t |= (t >> b0 & 1) << b1
-        head = bit[e.head]
-        if head in copies:
-            slots.append((e.id, head, copies[head], t))
-        else:
-            static[head] |= t
-    slots.sort()
-    fprime = g.mask_of(fault_set)
-    for b1 in copies.values():
-        fprime |= 1 << b1
-    return SplitLayout(m, fprime, tuple(static), tuple(slots))
+    return next(_layouts(g, fault_set, [x]))
+
+
+def split_layouts(
+    g: DirectedHypergraph, fault_set: Iterable[int]
+) -> Iterator[tuple[list[int], SplitLayout]]:
+    """Each split set of ``fault_set`` in ``split_sets`` order, with its
+    layout; the layouts share the fault set's channel scan."""
+    xs = list(split_sets(fault_set))
+    return zip(xs, _layouts(g, fault_set, xs))
 
 
 def collapse(sh: SplitHypergraph) -> DirectedHypergraph:

@@ -3,9 +3,12 @@
 Everything here recomputes results from first principles with plain sets and
 exhaustive search, deliberately avoiding the bitmask, max-flow, and pruning
 machinery under test.  Keep inputs tiny (n <= 6 for paths, n <= 4 for the
-condition replays); the point is trust, not speed.  The one bitmask routine,
-``lcr_split_violated_loop``, is the plain-loop form of the vectorised LCR
-detector and serves as its reference.  ``carrier_logs`` is the plain form of
+condition replays); the point is trust, not speed.  Two routines work on
+bitmasks: ``lcr_split_violated_loop`` is the plain-loop form of the LCR
+detector and serves as its reference, and ``first_lcr_labelling_scan`` is
+the canonical (L, C, R) scan that walks every labelling in product order,
+where the library builds the first violating labelling digit by digit from
+closures.  ``carrier_logs`` is the plain form of
 the necessity harness's reception logs: it replays the carrier run and
 renders each copy's log as ``canonical_json`` of its sorted entries.
 ``max_disjoint_paths_network`` is the dict-of-dicts max-flow that the
@@ -15,6 +18,8 @@ faulty hop, where the library evaluates it in closed form.
 ``first_violation_rebuilding`` is the canonical witness rescan that builds
 every split graph of ``enumerate_lambda`` in turn and decides each alone,
 where the library builds only the winning split graph.
+``split_layout_relifting`` lifts every channel's tail mask for each split
+set, where the library reads the fault set's touching channels once.
 ``scan_fault_set_ordered`` runs the detector in batches over the rows of
 one split graph per copy swap, in counter order, where the library decides
 a split set on its distinct, Pareto-minimal rows and finds the least
@@ -38,7 +43,14 @@ from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
 from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
-from hyperbft.splitting import SplitSpec, enumerate_lambda, split, split_layout, split_sets
+from hyperbft.splitting import (
+    SplitLayout,
+    SplitSpec,
+    enumerate_lambda,
+    split,
+    split_layout,
+    split_sets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +345,31 @@ def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
     return True, splits, partitions, None
 
 
+def split_layout_relifting(g: DirectedHypergraph, fault_set, x) -> SplitLayout:
+    """The layout of the splits of ``x`` built from every channel's tail
+    mask, lifted over the copies of ``x`` one by one."""
+    xs = sorted(x)
+    n0 = len(g.node_order)
+    m = n0 + len(xs)
+    bit = g.bit_of
+    copies = {bit[v]: n0 + k for k, v in enumerate(xs)}
+    static = [0] * m
+    slots = []
+    for e, t in zip(g.edges, g.tail_masks):
+        for b0, b1 in copies.items():
+            t |= (t >> b0 & 1) << b1
+        head = bit[e.head]
+        if head in copies:
+            slots.append((e.id, head, copies[head], t))
+        else:
+            static[head] |= t
+    slots.sort()
+    fprime = g.mask_of(fault_set)
+    for b1 in copies.values():
+        fprime |= 1 << b1
+    return SplitLayout(m, fprime, tuple(static), tuple(slots))
+
+
 def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) -> bool:
     """Existence of a violating (L, C, R) partition of one split graph, by
     plain loops over the 2^m node sets.
@@ -374,6 +411,49 @@ def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) ->
         if bad[x] and dp[full & ~x]:
             return True
     return False
+
+
+
+def first_lcr_labelling_scan(out, fprime: int, bits, f: int) -> tuple[int, int, int, int]:
+    """The first violating (L, C, R) labelling of the node bits ``bits``.
+
+    Labellings run in ``itertools.product((0, 1, 2))`` order, digit i
+    labelling ``bits[i]``; only the labelled nodes act as heads.  A labelling
+    violates when L and R are non-empty, at most f heads of L u C point into
+    R - F' and at most f heads of R u C point into L - F'.  Returns (index,
+    L mask, C mask, R mask).
+    """
+    universe = 0
+    for b in bits:
+        universe |= 1 << b
+
+    def adjacent(heads_mask: int, into_mask: int) -> bool:
+        if not into_mask:
+            return True
+        count = 0
+        rest = heads_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if out[low.bit_length() - 1] & into_mask:
+                count += 1
+                if count > f:
+                    return True
+        return False
+
+    for idx, digits in enumerate(itertools.product((0, 1, 2), repeat=len(bits))):
+        masks = [0, 0, 0]
+        for b, dg in zip(bits, digits):
+            masks[dg] |= 1 << b
+        lm, cm, rm = masks
+        if not lm or not rm:
+            continue
+        if adjacent(universe & ~rm, rm & ~fprime):
+            continue
+        if adjacent(universe & ~lm, lm & ~fprime):
+            continue
+        return idx, lm, cm, rm
+    raise AssertionError("violation vanished during canonical rescan")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from hyperbft.conditions import (
     LCR,
     MAX_LCR_NODES,
     MAX_SPLIT_PAIRS,
+    _first_lcr_labelling,
     _lcr_split_violated,
+    _lcr_uses_closures,
     _light_splits,
     _node_rows,
     _partition_base,
@@ -38,6 +40,7 @@ from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.splitting import lambda_cardinality, split_layout, split_sets
 
 from oracles import (
+    first_lcr_labelling_scan,
     first_violation_rebuilding,
     lcr_split_violated_loop,
     light_splits_ordered,
@@ -159,13 +162,17 @@ def test_monotone_in_fault_budget() -> None:
 
 @st.composite
 def detector_batches(draw):
-    """(rows, m, fprime, f): 1-40 random out-mask rows over m = 1..10 nodes.
-    Each row keeps every arc with its own probability, so one batch mixes
-    sparse rows (often violating) with dense ones (rarely violating) and both
-    verdicts occur, for whole batches and for single rows."""
+    """(rows, m, fprime, f): 1-40 random out-mask rows over m = 1..10 nodes,
+    with f from 0 to past m and F' often empty or full.  Each row keeps
+    every arc with its own probability, so one batch mixes sparse rows
+    (often violating) with dense ones (rarely violating) and both verdicts
+    occur, for whole batches and for single rows."""
     m = draw(st.integers(min_value=1, max_value=10))
-    f = draw(st.integers(min_value=0, max_value=2))
-    fprime = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+    f = draw(
+        st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=m, max_value=m + 1))
+    )
+    full = (1 << m) - 1
+    fprime = draw(st.one_of(st.sampled_from((0, full)), st.integers(min_value=0, max_value=full)))
     batch = draw(st.integers(min_value=1, max_value=40))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     rows = []
@@ -178,23 +185,73 @@ def detector_batches(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(detector_batches())
-def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
+@given(detector_batches(), st.sampled_from((None, True, False)))
+def test_batched_lcr_detector_matches_loop_oracle(case, closures) -> None:
+    """The detector as dispatched (None), and forced onto its closure path
+    (True) or its table path (False), gives the index of the loop oracle's
+    first violating row."""
     rows, m, fprime, f = case
     expected = [lcr_split_violated_loop(row, m, fprime, f) for row in rows]
     first = expected.index(True) if any(expected) else -1
-    assert _lcr_split_violated(rows, m, fprime, f) == first
-    for row, want in zip(rows, expected):
-        assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
+    with pytest.MonkeyPatch.context() as mp:
+        if closures is not None:
+            mp.setattr(conditions, "_lcr_uses_closures", lambda m, f: closures)
+        assert _lcr_split_violated(rows, m, fprime, f) == first
+        for row, want in zip(rows[:8], expected):
+            assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
+
+
+def test_detector_dispatch_follows_the_cell_estimate() -> None:
+    """At f=1 split graphs of 11 or more nodes take the closure path; at f=2
+    the table keeps them up to 19 nodes; past the table's node limit only
+    the closure path is left, and past both limits m is refused."""
+    assert not _lcr_uses_closures(10, 1) and _lcr_uses_closures(11, 1)
+    assert not _lcr_uses_closures(19, 2) and _lcr_uses_closures(20, 2)
+    assert _lcr_uses_closures(MAX_LCR_NODES + 1, 2)
+    with pytest.raises(ValueError, match="split graph has 30 nodes"):
+        _lcr_uses_closures(30, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_prefix_search_matches_the_labelling_scan(m, f, seed) -> None:
+    """The digit-by-digit labelling equals the product-order scan's first
+    violating labelling, index and masks, on all nodes and on random subsets
+    of them with p2p out-masks (faulty heads and targets dropped)."""
+    rng = random.Random(seed)
+    density = rng.choice((0.15, 0.3, 0.5, 0.8))
+    out = [sum(1 << v for v in range(m) if v != u and rng.random() < density) for u in range(m)]
+    fprime = rng.randrange(1 << m) if rng.random() < 0.6 else rng.choice((0, (1 << m) - 1))
+    bits = list(range(m))
+    if rng.random() < 0.5:
+        # a p2p fault set: its nodes are unlabelled, mute and never targets
+        fprime = sum(1 << v for v in range(m) if rng.random() < 0.3)
+        out = [0 if fprime >> u & 1 else o & ~fprime for u, o in enumerate(out)]
+        bits = [b for b in bits if not fprime >> b & 1]
+    try:
+        want = first_lcr_labelling_scan(out, fprime, bits, f)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="violation vanished"):
+            _first_lcr_labelling(out, fprime, bits, f)
+        return
+    assert _first_lcr_labelling(out, fprime, bits, f) == want
 
 
 def test_oversized_split_graph_is_refused_before_allocating() -> None:
+    """The 30-ring is past the table's node limit.  At f=0 its closure
+    pairs fit and it is decided; at f=3 they do not (C(30, 3) * 30 closures)
+    and it is refused before any large allocation."""
     assert MAX_LCR_NODES < 30
     g = cycle_local_broadcast(30)
+    assert check_lcr_hyper(g, 0).holds
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="split graph has 30 nodes"):
-            check_lcr_hyper(g, 0)
+            check_lcr_hyper(g, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,16 +260,27 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
         check_ab_hyper(cycle_local_broadcast(63), 0)
 
 
+def test_witness_past_the_closure_limit_is_refused(monkeypatch) -> None:
+    """The table decides the triangle's split graphs, but the witness search
+    on the first violating one (4 nodes) would hold 16^2 closure pairs:
+    past a limit of 8 it is refused, not run."""
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_PAIRS", 8)
+    with pytest.raises(ValueError, match="canonical witness over 4 nodes at f=1"):
+        check_lcr_hyper(complete_p2p(3), 1)
+
+
 def test_oversized_split_set_is_refused_before_its_rows(monkeypatch) -> None:
     """complete_p2p(8) plus 22 channels of node 0 with distinct two- and
     three-node tails holds unsplit at f=1; splitting node 0 passes the node
-    limit, which is refused before the DP builds its millions of pairs."""
+    limit and a closure-pair limit of 80 (81^2 pairs at m = 9), which is refused
+    before the DP builds its millions of pairs."""
     tails = [t for k in (2, 3) for t in itertools.combinations(range(1, 8), k)][:22]
     base = complete_p2p(8)
     g = DirectedHypergraph.from_edge_tuples(
         8, [(e.head, tuple(e.tails)) for e in base.edges] + [(0, t) for t in tails]
     )
     monkeypatch.setattr(conditions, "MAX_LCR_NODES", 8)
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_PAIRS", 80)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="split graph has 9 nodes"):

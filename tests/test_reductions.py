@@ -87,9 +87,48 @@ def test_undirected_cross_validation_at_two_faults() -> None:
 
 
 def test_reduced_check_refuses_an_oversized_graph() -> None:
+    """The 30-ring is past the table's node limit: decided by closures at
+    f=0, refused at f=3, where the closure pairs pass their limit too."""
     assert MAX_LCR_NODES < 30
+    assert check_lcr_local(cycle_local_broadcast(30), 0).holds
     with pytest.raises(ValueError, match="split graph has 30 nodes"):
-        check_lcr_local(cycle_local_broadcast(30), 0)
+        check_lcr_local(cycle_local_broadcast(30), 3)
+
+
+def two_clique_hub(n: int) -> DirectedHypergraph:
+    """Cliques {0..h} and {0, h+1..n-1}, h = (n-1) // 2, that share only
+    node 0, with one broadcast channel per node."""
+    h = (n - 1) // 2
+    cliques = (range(h + 1), [0, *range(h + 1, n)])
+    adj = {u: set() for u in range(n)}
+    for clique in cliques:
+        for u in clique:
+            adj[u].update(v for v in clique if v != u)
+    return DirectedHypergraph.from_edge_tuples(n, [(u, tuple(sorted(adj[u]))) for u in range(n)])
+
+
+@pytest.mark.parametrize(
+    "n, partitions",
+    [(11, 59_292), (13, 532_170), (14, 1_596_510), (16, 14_355_468)],
+)
+def test_hub_graph_witness_index(n, partitions) -> None:
+    """Every violation of the hub graph at f=1 puts node 0 in C, so the
+    canonical labelling index passes 3^(n-1); the counts are the
+    product-order scan's."""
+    g = two_clique_hub(n)
+    for check in (check_lcr_hyper, check_lcr_local):
+        report = check(g, 1)
+        assert not report.holds
+        assert report.partitions_checked == partitions
+        assert report.violation.partition.center == frozenset({0})
+
+
+def test_long_rings_are_decided_at_one_fault() -> None:
+    # 41-node split graphs: past the table's node limit, decided by closures
+    g = cycle_local_broadcast(40)
+    assert check_lcr_hyper(g, 1).holds
+    assert check_lcr_local(g, 1).holds
+    assert theorem_local_classic(g, 1)
 
 
 def test_cross_validation_rejects_wrong_class() -> None:

@@ -10,7 +10,12 @@ from hyperbft.splitting import (
     enumerate_lambda,
     lambda_cardinality,
     split,
+    split_layout,
+    split_layouts,
+    split_sets,
 )
+
+from oracles import split_layout_relifting
 
 
 def small_graphs(max_n: int = 5, max_m: int = 8):
@@ -128,3 +133,17 @@ def test_split_graph_structure_invariants(g, pivot: int) -> None:
         assert sh.f_prime == (sh.graph.nodes & sh.fault_set) | (sh.graph.nodes - g.nodes)
         # edge ids preserved
         assert {e.id for e in sh.graph.edges} == {e.id for e in g.edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=6, max_m=14), st.integers(min_value=0, max_value=2**31))
+def test_fault_set_layouts_match_the_relifting_layout(g, seed: int) -> None:
+    """Each split set's layout from the fault set's shared channel list equals
+    the one lifted from every tail mask, for fault sets of up to 3 nodes."""
+    nodes = sorted(g.nodes)
+    fault_set = {v for i, v in enumerate(nodes) if seed >> i & 1} - set(nodes[3:])
+    pairs = list(split_layouts(g, fault_set))
+    assert [x for x, _ in pairs] == list(split_sets(fault_set))
+    for x, layout in pairs:
+        assert layout == split_layout_relifting(g, fault_set, x)
+        assert layout == split_layout(g, fault_set, x)
