@@ -34,8 +34,9 @@ outside H of each member outside F', and so on), and every bad set contains
 one, so the inclusion-minimal bad sets are closures and a split graph
 violates exactly when two closures are disjoint.  The detector grows the
 C(m, f) * m closures of each split graph at once and pair-tests the distinct
-ones, polynomial in m for fixed f; where the 2^m subset table costs fewer
-cells (small m, or f >= 2 on up to 19 nodes) it runs the table instead.  The
+ones, polynomial in m for fixed f.  Where C(m, f)^2 passes about 2^m (f large
+for m), and for large batches of small split graphs, the 2^m subset table is
+cheaper, and a cost rule fitted to measured timings runs it instead.  The
 canonical (L, C, R) labelling is built digit by digit from the same
 closures, with no scan over the 3^m labellings.
 """
@@ -73,6 +74,12 @@ MAX_LCR_NODES = 26
 # compared in blocks), so the limit bounds time: a worst-case pair test,
 # 32,768 distinct closures that pairwise intersect, takes about 1.3 s.
 MAX_CLOSURE_PAIRS = 1 << 30
+# Most closures (head sets x nodes) the canonical witness search holds.  It
+# keeps a few int64 arrays of that many cells, about 53 bytes per closure at
+# its traced peak: 46 MiB at 875,160 closures (18 nodes, f=9), 92 MiB at
+# 1,755,182 (19 nodes, f=9), so about 220 MiB at the limit, below the
+# table's 512 MiB at MAX_LCR_NODES.  The table decides such split graphs.
+MAX_WITNESS_CLOSURES = 1 << 22
 # Closure pairs compared at once by the pair test, and the pair count above
 # which it first drops repeated closures (below it, sorting costs more than
 # the repeats do).
@@ -82,8 +89,8 @@ _DEDUP_CELLS = 1 << 12
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
 MAX_SPLIT_PAIRS = 1 << 18
-# Table cells (rows x 2^m) per batch of split graphs; the closure path,
-# which loops over a batch's rows, takes the same batches.
+# Table cells (rows x 2^m) per batch of split graphs; the closure path takes
+# the same batches.
 _BATCH_CELLS = 1 << 16
 
 
@@ -160,30 +167,37 @@ def propagates(
 # violation detectors (bitmask level)
 
 
-@functools.lru_cache(maxsize=None)
-def _closure_count(m: int, f: int) -> int:
-    """Closures the closure path grows per m-node split graph: one per head
-    set of size min(f, m) and seed node."""
-    return math.comb(m, min(f, m)) * m
+def _admit_lcr(m: int, f: int) -> None:
+    """Raise ``ValueError`` when neither LCR detector path admits m-node
+    split graphs at f: more than ``MAX_LCR_NODES`` nodes for the table and
+    more than ``MAX_CLOSURE_PAIRS`` closure pairs for the closure path."""
+    closures = math.comb(m, min(f, m)) * m
+    if m > MAX_LCR_NODES and closures * closures > MAX_CLOSURE_PAIRS:
+        raise ValueError(
+            f"split graph has {m} nodes; at f={f} the LCR detector's table takes at most "
+            f"{MAX_LCR_NODES} nodes (it grows as 2^m) and its closure pairs at most "
+            f"{MAX_CLOSURE_PAIRS} (here {closures}^2)"
+        )
 
 
-def _lcr_uses_closures(m: int, f: int) -> bool:
-    """Whether the LCR detector decides m-node split graphs by closures
-    rather than by the subset table: the closure path when it is admitted
-    and its cells (Warshall steps plus closure pairs) are fewer than the
-    table's m * 2^m, or when the table is not admitted.  Raises
-    ``ValueError`` when neither path admits m."""
-    closures = _closure_count(m, f)
-    pairs = closures * closures
-    if m <= MAX_LCR_NODES:
-        return pairs <= MAX_CLOSURE_PAIRS and closures * m + pairs < m << m
-    if pairs <= MAX_CLOSURE_PAIRS:
+def _lcr_uses_closures(rows: int, m: int, f: int) -> bool:
+    """Whether the LCR detector decides a batch of ``rows`` m-node split
+    graphs by closures rather than by the subset table, once ``_admit_lcr``
+    has admitted m.  Past one path's limit the other one runs.  Otherwise a
+    row costs about m * 2^m cells on the table and, with k = C(m, f) head
+    sets, k * m^2 Warshall cells plus k^2 pair cells (dense rows keep about
+    one distinct closure per head set) on the closure path, at about twice
+    the time per cell; a call of the closure path also costs some 512 * m
+    table cells less in fixed numpy work.  The rule is fitted to timings of
+    both paths on random rows (arc densities 0.3 and 0.9, m = 4-16, every
+    f up to m/2, batches of 1 and of up to 64 rows)."""
+    heads = math.comb(m, min(f, m))
+    closures = heads * m
+    if closures * closures > MAX_CLOSURE_PAIRS:
+        return False
+    if m > MAX_LCR_NODES:
         return True
-    raise ValueError(
-        f"split graph has {m} nodes; at f={f} the LCR detector's table takes at most "
-        f"{MAX_LCR_NODES} nodes (it grows as 2^m) and its closure pairs at most "
-        f"{MAX_CLOSURE_PAIRS} (here {closures}^2)"
-    )
+    return 2 * rows * (closures * m + heads * heads) < rows * (m << m) + (m << 9)
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,8 +243,9 @@ def _disjoint_pair(left: np.ndarray, right: np.ndarray | None = None) -> tuple[i
     if not len(right):
         return None
     if len(left) * len(right) > _DEDUP_CELLS:
+        same = right is left
         left = _distinct(left)
-        right = left if right is left else _distinct(right)
+        right = left if same else _distinct(right)
     step = max(1, _PAIR_BLOCK // len(right))
     for i in range(0, len(left), step):
         block = left[i:i + step, None] & right
@@ -238,6 +253,34 @@ def _disjoint_pair(left: np.ndarray, right: np.ndarray | None = None) -> tuple[i
         if block.flat[k] == 0:
             return int(left[i + k // len(right)]), int(right[k % len(right)])
     return None
+
+
+def _first_disjoint_row(cl: np.ndarray, full: int) -> int:
+    """The index of the first row of ``cl`` (shape (B, K), masks within
+    ``full``) holding two masks that share no bit, or -1.
+
+    A batch of several rows is tested at once: each row's repeats become
+    ``full``, which meets every non-empty mask, and sort to its end, the
+    rows are cut to the longest run of distinct masks, and the pairs are
+    compared in blocks of whole rows of at most ``_PAIR_BLOCK`` cells.  A
+    single row, or rows that alone pass ``_PAIR_BLOCK``, go through
+    ``_disjoint_pair`` one by one."""
+    if len(cl) > 1:
+        cl = np.sort(cl, axis=1)
+        cl[:, 1:][cl[:, 1:] == cl[:, :-1]] = full
+        cl.sort(axis=1)
+        k = int((cl != full).sum(axis=1).max())
+        cl = cl[:, :k]
+        if 0 < k * k <= _PAIR_BLOCK:
+            step = _PAIR_BLOCK // (k * k)
+            for i in range(0, len(cl), step):
+                block = cl[i:i + step]
+                meets = block[:, :, None] & block[:, None, :]
+                hits = (meets == 0).reshape(len(block), -1).any(axis=1)
+                if hits.any():
+                    return i + int(hits.argmax())
+            return -1
+    return next((b for b, row in enumerate(cl) if _disjoint_pair(row) is not None), -1)
 
 
 def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
@@ -251,7 +294,7 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     it, so a violation is exactly a disjoint pair of bad sets (L, R; C is
     whatever remains).
 
-    Two paths decide that, chosen by ``_lcr_uses_closures`` from (m, f):
+    Two paths decide that, chosen by ``_lcr_uses_closures`` from (B, m, f):
 
     * the closure path.  The bad sets whose heads lie in a fixed head set H
       are closed under union and intersection, and the least one holding a
@@ -266,16 +309,14 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
       transform marks the sets that contain a bad set, and a bad X whose
       complement is marked violates.  Cost m * 2^m cells per row.
     """
-    if _lcr_uses_closures(m, f):
+    _admit_lcr(m, f)
+    if _lcr_uses_closures(len(out_bits), m, f):
         seeds = [v for v in range(m) if not fprime >> v & 1]
         if not seeds:
             return -1
         outs = np.asarray(out_bits, dtype=np.int64)
         cl = _closures(outs, m, fprime, _head_sets((1 << m) - 1, min(f, m)))[:, :, seeds]
-        for b, row in enumerate(cl.reshape(len(outs), -1)):
-            if _disjoint_pair(row) is not None:
-                return b
-        return -1
+        return _first_disjoint_row(cl.reshape(len(outs), -1), (1 << m) - 1)
     outs = np.asarray(out_bits, dtype=np.uint32)
     rows = len(outs)
     size = 1 << m
@@ -447,14 +488,15 @@ def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int,
     stays a witness for whichever digit it allows, so that digit needs no
     test, and after the first pair no digit needs more than two.  The
     index is sum(d_i * 3^(len(bits) - 1 - i)).  The search raises
-    ``ValueError`` when its closures pass ``MAX_CLOSURE_PAIRS``, which only
-    a split graph that the table decided can reach.
+    ``ValueError`` when it would hold more than ``MAX_WITNESS_CLOSURES``
+    closures (C(len(bits), f) head sets times m nodes).
     """
     bits = list(bits)
-    if _closure_count(len(bits), f) ** 2 > MAX_CLOSURE_PAIRS:
+    closures = math.comb(len(bits), min(f, len(bits))) * len(out)
+    if closures > MAX_WITNESS_CLOSURES:
         raise ValueError(
-            f"the canonical witness over {len(bits)} nodes at f={f} needs more than "
-            f"{MAX_CLOSURE_PAIRS} closure pairs"
+            f"the canonical witness over {len(bits)} nodes at f={f} needs {closures} "
+            f"closures; at most {MAX_WITNESS_CLOSURES} are held"
         )
     universe = 0
     for b in bits:
@@ -588,7 +630,7 @@ def _scan_fault_set(
     for x, layout in split_layouts(g, fset):
         m = layout.m
         if condition == LCR:
-            _lcr_uses_closures(m, f)  # admits m before the DP builds any pair
+            _admit_lcr(m, f)  # before the DP builds any pair
         groups = _slot_groups(layout)
         fixed = _pinned(groups)
         if violated(layout, groups, fixed):

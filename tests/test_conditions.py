@@ -185,31 +185,36 @@ def detector_batches(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(detector_batches(), st.sampled_from((None, True, False)))
-def test_batched_lcr_detector_matches_loop_oracle(case, closures) -> None:
-    """The detector as dispatched (None), and forced onto its closure path
-    (True) or its table path (False), gives the index of the loop oracle's
-    first violating row."""
+@given(detector_batches())
+def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
+    """The detector as dispatched, and forced onto its closure path or its
+    table path, gives the index of the loop oracle's first violating row,
+    for the whole batch and for every row alone."""
     rows, m, fprime, f = case
     expected = [lcr_split_violated_loop(row, m, fprime, f) for row in rows]
     first = expected.index(True) if any(expected) else -1
-    with pytest.MonkeyPatch.context() as mp:
-        if closures is not None:
-            mp.setattr(conditions, "_lcr_uses_closures", lambda m, f: closures)
-        assert _lcr_split_violated(rows, m, fprime, f) == first
-        for row, want in zip(rows[:8], expected):
-            assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
+    for closures in (None, True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if closures is not None:
+                mp.setattr(conditions, "_lcr_uses_closures", lambda rows, m, f: closures)
+            assert _lcr_split_violated(rows, m, fprime, f) == first
+            for row, want in zip(rows, expected):
+                assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
 
 
-def test_detector_dispatch_follows_the_cell_estimate() -> None:
-    """At f=1 split graphs of 11 or more nodes take the closure path; at f=2
-    the table keeps them up to 19 nodes; past the table's node limit only
-    the closure path is left, and past both limits m is refused."""
-    assert not _lcr_uses_closures(10, 1) and _lcr_uses_closures(11, 1)
-    assert not _lcr_uses_closures(19, 2) and _lcr_uses_closures(20, 2)
-    assert _lcr_uses_closures(MAX_LCR_NODES + 1, 2)
+def test_detector_dispatch_follows_the_measured_costs() -> None:
+    """Single rows take the closure path from small m on at f <= 2; large
+    batches of small split graphs, and f large for m, keep the table; past
+    the table's node limit only the closure path is left, and past both
+    limits m is refused."""
+    assert _lcr_uses_closures(1, 5, 1) and _lcr_uses_closures(1, 13, 1)
+    assert _lcr_uses_closures(1, 9, 2) and _lcr_uses_closures(32, 11, 2)
+    assert not _lcr_uses_closures(64, 6, 1) and not _lcr_uses_closures(64, 9, 2)
+    assert not _lcr_uses_closures(1, 14, 3) and _lcr_uses_closures(1, 16, 3)
+    assert not _lcr_uses_closures(1, 14, 7)
+    assert _lcr_uses_closures(1, MAX_LCR_NODES + 1, 2)
     with pytest.raises(ValueError, match="split graph has 30 nodes"):
-        _lcr_uses_closures(30, 3)
+        _lcr_split_violated([[0] * 30], 30, 0, 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,11 +266,11 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
 
 
 def test_witness_past_the_closure_limit_is_refused(monkeypatch) -> None:
-    """The table decides the triangle's split graphs, but the witness search
-    on the first violating one (4 nodes) would hold 16^2 closure pairs:
-    past a limit of 8 it is refused, not run."""
-    monkeypatch.setattr(conditions, "MAX_CLOSURE_PAIRS", 8)
-    with pytest.raises(ValueError, match="canonical witness over 4 nodes at f=1"):
+    """The witness search on the triangle's first violating split graph
+    (4 nodes) would hold 16 closures: past a limit of 8 it is refused, not
+    run."""
+    monkeypatch.setattr(conditions, "MAX_WITNESS_CLOSURES", 8)
+    with pytest.raises(ValueError, match="canonical witness over 4 nodes at f=1 needs 16"):
         check_lcr_hyper(complete_p2p(3), 1)
 
 

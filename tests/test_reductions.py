@@ -123,6 +123,18 @@ def test_hub_graph_witness_index(n, partitions) -> None:
         assert report.violation.partition.center == frozenset({0})
 
 
+def test_witness_with_many_head_sets() -> None:
+    """complete_p2p(14) at f=7 violates at F = {} (n <= 2f).  The table
+    decides it, and the witness search over C(14, 7) * 14 = 48,048 closures
+    finds the product-order scan's labelling, index 3^7 - 1."""
+    g = complete_p2p(14)
+    for check in (check_lcr_p2p, check_lcr_hyper):
+        report = check(g, 7)
+        assert not report.holds
+        assert report.partitions_checked == 2_187
+        assert report.violation.partition.left == frozenset(range(7))
+
+
 def test_long_rings_are_decided_at_one_fault() -> None:
     # 41-node split graphs: past the table's node limit, decided by closures
     g = cycle_local_broadcast(40)
