@@ -49,8 +49,8 @@ from .splitting import _MASK_BITS, SplitLayout, split_layout
 ABSENT = -1
 WORKERS_ENV = "HYPERBFT_WORKERS"
 # A trail universe holds every simple trail, and their number grows like n!
-# (complete_p2p(8) has 767,200, complete_p2p(9) 7,891,272); building stops
-# with a ValueError once it passes this many.
+# (complete_p2p(8) has 767,200, complete_p2p(9) 7,891,272); a graph with
+# more is refused with a ValueError before any trail is built.
 MAX_TRAILS = 1_000_000
 
 
@@ -186,11 +186,14 @@ class TrailUniverse:
     when several carrier copies stand in for one underlying node and a
     receiver would reject the collapsed duplicate).  ``tmask`` holds each
     trail's transmitters as node bits, or as group bits with ``groups``.
-    Building stops with a ValueError past ``MAX_TRAILS`` trails."""
+    A graph with more than ``MAX_TRAILS`` trails raises ValueError before
+    any trail is built (``_count_trails``)."""
 
     def __init__(self, g: DirectedHypergraph, groups: dict[int, int] | None = None):
         bit = g.bit_of if groups is None else {v: groups[v] for v in g.node_order}
         tails_of = {e.id: e.sorted_tails() for e in g.edges}
+        if _count_trails(g, bit, tails_of) > MAX_TRAILS:
+            raise ValueError(f"the graph has more than {MAX_TRAILS} simple trails")
         origins: list[int] = []
         parents: list[int] = []
         edges: list[int] = []
@@ -215,9 +218,6 @@ class TrailUniverse:
         while lo < hi:
             layers.append((lo, hi))
             for ptid in range(lo, hi):
-                # every trail added since the last check sits in a later layer
-                if len(origins) > MAX_TRAILS:
-                    raise ValueError(f"the graph has more than {MAX_TRAILS} simple trails")
                 pmask = tmask[ptid]
                 for w in tails_of[edges[ptid]]:
                     wb = 1 << bit[w]
@@ -273,6 +273,34 @@ class TrailUniverse:
                 used[:, lo:hi] = used[:, self.parent[lo:hi]]
             used[heads[lo:hi], np.arange(lo, hi)] = self.edge[lo:hi]
         return used
+
+
+def _count_trails(g: DirectedHypergraph, bit, tails_of) -> int:
+    """The number of simple trails ``TrailUniverse`` would build, or some
+    number past ``MAX_TRAILS``.  A trail extends by the same channels as any
+    other trail with its last channel and its transmitters, so each layer is
+    counted as (last channel, transmitter mask) states with multiplicities,
+    and counting stops once the total passes ``MAX_TRAILS``."""
+    layer: dict[tuple[int, int], int] = {}
+    for u in g.node_order:
+        for e in g.head_edges(u):
+            layer[(e.id, 1 << bit[u])] = 1
+    total = len(layer)
+    while layer and total <= MAX_TRAILS:
+        grown: dict[tuple[int, int], int] = {}
+        for (eid, mask), count in layer.items():
+            for w in tails_of[eid]:
+                wb = 1 << bit[w]
+                if mask & wb:
+                    continue
+                for e2 in g.head_edges(w):
+                    state = (e2.id, mask | wb)
+                    grown[state] = grown.get(state, 0) + count
+                    total += count
+            if total > MAX_TRAILS:
+                break
+        layer = grown
+    return total
 
 
 def flood_records(
