@@ -279,23 +279,24 @@ def _count_trails(g: DirectedHypergraph, bit, tails_of) -> int:
     """The number of simple trails ``TrailUniverse`` would build, or some
     number past ``MAX_TRAILS``.  A trail extends by the same channels as any
     other trail with its last channel and its transmitters, so each layer is
-    counted as (last channel, transmitter mask) states with multiplicities,
-    and counting stops once the total passes ``MAX_TRAILS``."""
-    layer: dict[tuple[int, int], int] = {}
-    for u in g.node_order:
-        for e in g.head_edges(u):
-            layer[(e.id, 1 << bit[u])] = 1
+    counted as (transmitter mask, last channel) states with multiplicities,
+    one int key each, and counting stops once the total passes
+    ``MAX_TRAILS``."""
+    shift = max((e.id for e in g.edges), default=0).bit_length()
+    layer = {(1 << bit[e.head]) << shift | e.id: 1 for e in g.edges}
     total = len(layer)
+    low = (1 << shift) - 1
     while layer and total <= MAX_TRAILS:
-        grown: dict[tuple[int, int], int] = {}
-        for (eid, mask), count in layer.items():
-            for w in tails_of[eid]:
+        grown: dict[int, int] = {}
+        for state, count in layer.items():
+            mask = state >> shift
+            for w in tails_of[state & low]:
                 wb = 1 << bit[w]
                 if mask & wb:
                     continue
                 for e2 in g.head_edges(w):
-                    state = (e2.id, mask | wb)
-                    grown[state] = grown.get(state, 0) + count
+                    key = (mask | wb) << shift | e2.id
+                    grown[key] = grown.get(key, 0) + count
                     total += count
             if total > MAX_TRAILS:
                 break

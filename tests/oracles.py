@@ -23,7 +23,9 @@ set, where the library reads the fault set's touching channels once.
 ``scan_fault_set_ordered`` runs the detector in batches over the rows of
 one split graph per copy swap, in counter order, where the library decides
 a split set on its distinct, Pareto-minimal rows and finds the least
-violating counter bit by bit.
+violating counter bit by bit; ``check_per_fault_set`` runs it once per
+fault set and sums the counters, where the library decides every fault set
+of a check in one stream of detector batches.
 ``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
 the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
@@ -343,6 +345,23 @@ def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
         splits += family
         partitions += family * base ** m
     return True, splits, partitions, None
+
+
+def check_per_fault_set(g: DirectedHypergraph, f: int, condition: str):
+    """The ``ConditionReport`` of one ``scan_fault_set_ordered`` per fault set
+    of ``subsets_by_cardinality``, counters summed, up to the first
+    violated fault set."""
+    fault_sets = splits = partitions = 0
+    for fset in conditions.subsets_by_cardinality(g.nodes, f):
+        fault_sets += 1
+        holds, s, p, violation = scan_fault_set_ordered(g, fset, f, condition)
+        splits += s
+        partitions += p
+        if not holds:
+            return conditions.ConditionReport(
+                condition, f, False, fault_sets, splits, partitions, violation
+            )
+    return conditions.ConditionReport(condition, f, True, fault_sets, splits, partitions, None)
 
 
 def split_layout_relifting(g: DirectedHypergraph, fault_set, x) -> SplitLayout:

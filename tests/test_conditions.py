@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +14,8 @@ from hyperbft.conditions import (
     LCR,
     MAX_LCR_NODES,
     MAX_SPLIT_PAIRS,
+    _ab_batch_violated,
+    _check,
     _first_lcr_labelling,
     _lcr_split_violated,
     _lcr_uses_closures,
@@ -40,6 +43,7 @@ from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.splitting import lambda_cardinality, split_layout, split_sets
 
 from oracles import (
+    check_per_fault_set,
     first_lcr_labelling_scan,
     first_violation_rebuilding,
     lcr_split_violated_loop,
@@ -200,6 +204,46 @@ def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
             assert _lcr_split_violated(rows, m, fprime, f) == first
             for row, want in zip(rows, expected):
                 assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
+
+
+@st.composite
+def mixed_row_batches(draw):
+    """(rows, fprimes, f): 1-24 random rows of 1-9 nodes each, each with its
+    own F' (often empty), at f = 0-2."""
+    f = draw(st.integers(min_value=0, max_value=2))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows, fprimes = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        m = rng.randint(1, 9)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        rows.append(
+            [sum(1 << v for v in range(m) if v != u and rng.random() < density) for u in range(m)]
+        )
+        fprimes.append(rng.choice((0, rng.randrange(1 << m))))
+    return rows, fprimes, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_row_batches())
+def test_padded_mixed_rows_keep_their_verdicts(case) -> None:
+    """Rows of mixed m, each with its own F', padded to the largest m with
+    nodes of F' that have no arcs, give the first index at which a one-row
+    call on the unpadded row violates: for the LCR detector as dispatched
+    and forced onto either path, and for the AB detector on rows of at most
+    6 nodes."""
+    rows, fprimes, f = case
+    top = max(len(r) for r in rows)
+    padded = [r + [0] * (top - len(r)) for r in rows]
+    padded_fprimes = np.array([fp | (1 << top) - (1 << len(r)) for r, fp in zip(rows, fprimes)])
+    detectors = [_lcr_split_violated] + ([_ab_batch_violated] if top <= 6 else [])
+    for detect in detectors:
+        alone = [detect([r], len(r), fp, f) >= 0 for r, fp in zip(rows, fprimes)]
+        first = alone.index(True) if any(alone) else -1
+        for closures in (None, True, False) if detect is _lcr_split_violated else (None,):
+            with pytest.MonkeyPatch.context() as mp:
+                if closures is not None:
+                    mp.setattr(conditions, "_lcr_uses_closures", lambda rows, m, f: closures)
+                assert detect(padded, top, padded_fprimes, f) == first
 
 
 def test_detector_dispatch_follows_the_measured_costs() -> None:
@@ -387,6 +431,28 @@ def test_minimal_row_scan_matches_the_ordered_scan(n, channels, seed, f, conditi
     for fset in subsets_by_cardinality(g.nodes, f):
         got = _scan_fault_set(g, fset, f, condition)
         assert got == scan_fault_set_ordered(g, fset, f, condition)
+
+
+@st.composite
+def check_graphs(draw):
+    """Random hypergraphs of 2-6 nodes; half of them laid over the complete
+    graph, whose checks hold or fail past the empty fault set."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    g = random_hypergraph(
+        n, draw(st.integers(min_value=1, max_value=12)), draw(st.integers(min_value=0, max_value=2**31))
+    )
+    if draw(st.booleans()):
+        edges = complete_p2p(n).edges + g.edges
+        g = DirectedHypergraph.from_edge_tuples(n, [(e.head, tuple(e.tails)) for e in edges])
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(check_graphs(), st.integers(min_value=0, max_value=2), st.sampled_from((LCR, AB)))
+def test_batched_check_matches_the_per_fault_set_oracle(g, f, condition) -> None:
+    """One stream of detector batches over every fault set gives the report
+    of one ordered scan per fault set: verdict, witness and every counter."""
+    assert _check(g, f, condition) == check_per_fault_set(g, f, condition)
 
 
 def _rows_below(row, minimal) -> bool:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,40 @@ def test_trail_universe_stops_past_the_trail_limit(monkeypatch) -> None:
         TrailUniverse(complete_p2p(6))  # 9,780 trails
     with pytest.raises(ValueError, match="more than 2000 simple trails"):
         Engine(complete_p2p(6), 1)
+
+
+def test_trail_limit_refuses_before_building_any_trail() -> None:
+    """complete_p2p(9) has 7,891,272 simple trails: counting them by
+    (transmitters, last channel) states refuses the graph within a small
+    traced peak, where building the first million trails took hundreds of
+    MB."""
+    g = complete_p2p(9)
+    g.bit_of, g.head_edges(0)   # warm the graph's lazy tables, which outlive the count
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than {protocol.MAX_TRAILS} simple trails"):
+            TrailUniverse(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=6),
+)
+def test_trail_count_is_the_universe_size(n, channels, seed, groups) -> None:
+    """The state count equals the number of trails built, with node bits and
+    with group bits."""
+    g = random_hypergraph(n, channels, seed)
+    tails_of = {e.id: e.sorted_tails() for e in g.edges}
+    for grouping in (None, {v: v % groups for v in g.node_order}):
+        bit = g.bit_of if grouping is None else grouping
+        assert protocol._count_trails(g, bit, tails_of) == TrailUniverse(g, grouping).size
 
 
 def test_edge_used_names_each_trails_channel_of_a_node() -> None:
