@@ -306,11 +306,11 @@ def _lcr_split_violated(out_bits, m: int, fprime, f: int) -> int:
     point into it, so a violation is exactly a disjoint pair of bad sets (L,
     R; C is whatever remains).
 
-    Rows of fewer nodes are padded to m with nodes that lie in F' and have
-    no arcs.  Such a node is never a target and never a head, so adding it
-    to or taking it from a set P changes neither whether P - F' is empty nor
-    how many heads point into it: bad sets, and so violations, are those of
-    the unpadded row.  On the closure path a padded node seeds no closure
+    ``_first_violation`` pads rows of fewer nodes to m with nodes that lie
+    in F' and have no arcs.  Such a node is never a target nor a head, so
+    adding it to or taking it from a set P changes neither whether P - F'
+    is empty nor how many heads point into it: bad sets, and so violations,
+    are those of the unpadded row.  On the closure path a padded node seeds no closure
     and joins none, and a head set that holds one has fewer real heads,
     which only makes its closures larger; those are still bad sets.
 
