@@ -34,18 +34,15 @@ outside H of each member outside F', and so on), and every bad set contains
 one, so the inclusion-minimal bad sets are closures and a split graph
 violates exactly when two closures are disjoint.  The detector grows the
 C(m, f) * m closures of each split graph at once and pair-tests the distinct
-ones, polynomial in m for fixed f.  Where C(m, f)^2 passes about 2^m (f large
-for m), and for large batches of small split graphs, the 2^m subset table is
-cheaper, and a cost rule fitted to measured timings runs it instead.  The
-canonical (L, C, R) labelling is built digit by digit from the same
-closures, with no scan over the 3^m labellings.
-
-A check is one ordered stream of detector batches (``_first_violation``):
-the minimal rows of every split set of every fault set, in fault-set and
-split-set order, are batched together, smaller split graphs padded with
-idle fault copies, up to ``_BATCH_CELLS`` cells of the path that runs the
-batch (closures or table cells).  The first violating row names the first
-violated split set, and only then does the witness search run on it.
+ones, polynomial in m for fixed f.  A check calls it once per split set,
+mostly on one row, so with at most m head sets (one row at f <= 1) the
+closures come from squaring a 0/1 reach matrix, about 2 log2(m) numpy
+calls, and larger batches run an m-step bitmask Warshall.  Where C(m, f)^2
+passes about 2^m (f large for m), and for large batches of small split
+graphs, the 2^m subset table is cheaper, and a cost rule fitted to measured
+timings runs it instead.  The canonical (L, C, R) labelling is built
+digit by digit from the same closures, with no scan over the 3^m
+labellings.
 """
 
 from __future__ import annotations
@@ -96,9 +93,8 @@ _DEDUP_CELLS = 1 << 12
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
 MAX_SPLIT_PAIRS = 1 << 18
-# Detector cells per batch of split graphs, in the cells of the path that
-# runs it (``_batch_rows``): C(m, f) * m closures a row on the closure path,
-# 2^m subsets a row on the table.
+# Table cells (rows x 2^m) per batch of split graphs; the closure path takes
+# the same batches.
 _BATCH_CELLS = 1 << 16
 
 
@@ -218,19 +214,32 @@ def _head_sets(universe: int, k: int) -> np.ndarray:
     return heads
 
 
-def _closures(outs: np.ndarray, m: int, fprime: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def _closures(outs: np.ndarray, m: int, fprime: int, heads: np.ndarray) -> np.ndarray:
     """cl[b, h, v]: the least set that holds v and every in-neighbour outside
     ``heads[h]`` of each of its members outside F', in row b of ``outs``
-    (shape (B, m), int64; ``fprime`` holds F' per row, or one F' for all).
-    A bitmask Warshall over shape (B, H, m); pivoting on a node of F' adds
-    nothing, since it has no in-neighbours and its column is its own bit, so
-    the nodes of every row's F' are no pivots."""
+    (shape (B, m), int64).
+
+    With at most m closure sets (B * H <= m), the 0/1 matrix of one step
+    (v and its in-neighbours outside ``heads[h]``) is squared ceil(log2(m -
+    1)) times in float32, which covers every simple path: about 2 log2(m)
+    numpy calls where the Warshall makes 3m, and below m sets each call
+    costs more than its cells.  One row of 13 nodes at f = 1 takes about
+    35 us against 55 us.  More sets run a bitmask Warshall over shape
+    (B, H, m), whose cells grow m times slower; a node of F' adds nothing
+    as a pivot, since its own closure is itself."""
     bit = np.int64(1) << np.arange(m, dtype=np.int64)
-    arcs = ((outs & ~fprime[:, None])[:, :, None] & bit) != 0  # arcs[b, u, v]: u -> v, v not in F'
-    cl = (bit @ arcs)[:, None, :] & ~heads[:, None] | bit    # in-neighbours outside H, and v
-    mute = int(np.bitwise_and.reduce(fprime))
+    arcs = (outs[:, :, None] & (bit & ~fprime)) != 0     # arcs[b, u, v]: u -> v, v not in F'
+    if len(outs) * len(heads) <= m:
+        # reach[b, h, v, u]: u is v or an in-neighbour of v outside heads[h]
+        outside = (heads[:, None] & bit) == 0
+        reach = (arcs.transpose(0, 2, 1)[:, None] & outside[:, None, :]).astype(np.float32)
+        reach[..., range(m), range(m)] = 1
+        for _ in range(max(m - 2, 0).bit_length()):
+            reach = np.minimum(reach @ reach, 1)
+        return reach.astype(np.int64) @ bit
+    cl = (bit @ arcs)[:, None, :] & ~heads[:, None] | bit  # in-neighbours outside H, and v
     for k in range(m):
-        if not mute >> k & 1:
+        if not fprime >> k & 1:
             cl |= np.where(cl & (1 << k), cl[:, :, k, None], 0)
     return cl
 
@@ -295,24 +304,16 @@ def _first_disjoint_row(cl: np.ndarray, full: int) -> int:
     return next((b for b, row in enumerate(cl) if _disjoint_pair(row) is not None), -1)
 
 
-def _lcr_split_violated(out_bits, m: int, fprime, f: int) -> int:
+def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The index of the first split graph of a batch that has a violating
     (L, C, R) partition, or -1 when none has.
 
     ``out_bits`` holds one row of m out-masks per split graph (shape (B, m));
-    ``fprime`` is the fault-copy mask F', one int for every row or one per
-    row (shape (B,)).  Both failing clauses reduce to the one-argument
-    predicate bad(P) := P - F' is non-empty and at most f heads outside P
-    point into it, so a violation is exactly a disjoint pair of bad sets (L,
-    R; C is whatever remains).
-
-    ``_first_violation`` pads rows of fewer nodes to m with nodes that lie
-    in F' and have no arcs.  Such a node is never a target nor a head, so
-    adding it to or taking it from a set P changes neither whether P - F'
-    is empty nor how many heads point into it: bad sets, and so violations,
-    are those of the unpadded row.  On the closure path a padded node seeds no closure
-    and joins none, and a head set that holds one has fewer real heads,
-    which only makes its closures larger; those are still bad sets.
+    the rows share m and the fault-copy mask ``fprime``.  Both failing
+    clauses reduce to the one-argument predicate
+    bad(P) := P - F' is non-empty and at most f heads outside P point into
+    it, so a violation is exactly a disjoint pair of bad sets (L, R; C is
+    whatever remains).
 
     Two paths decide that, chosen by ``_lcr_uses_closures`` from (B, m, f):
 
@@ -323,42 +324,30 @@ def _lcr_split_violated(out_bits, m: int, fprime, f: int) -> int:
       contains such a closure (its own heads, padded to min(f, m) nodes,
       and any x of P - F'), so the inclusion-minimal bad sets are closures,
       and a split graph violates exactly when two closures are disjoint.
-      A row's columns of F' nodes become the all-nodes mask, which meets
-      every closure.  Cost: C(m, f) * m closures, m Warshall steps over
-      them, and a pair test over the distinct ones; polynomial in m for
-      fixed f.
+      Cost: C(m, f) * m closures, m Warshall steps over them, and a pair
+      test over the distinct ones; polynomial in m for fixed f.
     * the table path: heads[b, P] for all 2^m sets P, then a subset-sum
       transform marks the sets that contain a bad set, and a bad X whose
       complement is marked violates.  Cost m * 2^m cells per row.
     """
     _admit_lcr(m, f)
-    outs = np.asarray(out_bits, dtype=np.int64)
-    rows = len(outs)
-    fprimes = np.asarray(fprime, dtype=np.int64).reshape(-1)   # (B,) or one for all
-    full = (1 << m) - 1
-    if _lcr_uses_closures(rows, m, f):
-        common = int(np.bitwise_and.reduce(fprimes))
-        seeds = [v for v in range(m) if not common >> v & 1]   # the others seed nothing
+    if _lcr_uses_closures(len(out_bits), m, f):
+        seeds = [v for v in range(m) if not fprime >> v & 1]
         if not seeds:
             return -1
-        cl = _closures(outs, m, fprimes, _head_sets(full, min(f, m)))[:, :, seeds]
-        if (fprimes != common).any():
-            in_fprime = (fprimes[:, None] >> np.array(seeds)) & 1 != 0
-            cl = np.where(in_fprime[:, None, :], full, cl)
-        return _first_disjoint_row(cl.reshape(rows, -1), full)
-    outs = outs.astype(np.uint32)
+        outs = np.asarray(out_bits, dtype=np.int64)
+        cl = _closures(outs, m, fprime, _head_sets((1 << m) - 1, min(f, m)))[:, :, seeds]
+        return _first_disjoint_row(cl.reshape(len(outs), -1), (1 << m) - 1)
+    outs = np.asarray(out_bits, dtype=np.uint32)
+    rows = len(outs)
     size = 1 << m
-    if (fprimes == fprimes[0]).all():
-        fprimes = fprimes[:1]   # one target table serves every row
-    # targets[b, P] = P - F'; heads[b, P] = number of heads of V' - P into it
-    targets = np.arange(size, dtype=np.uint32) & (~fprimes[:, None] & full).astype(np.uint32)
+    # targets[P] = P - F'; heads[b, P] = number of heads of V' - P into it
+    targets = np.arange(size, dtype=np.uint32) & np.uint32(~fprime & (size - 1))
     heads = np.zeros((rows, size), dtype=np.uint8)
     for u in range(m):
         # the sets P without u, where u is a candidate head
         without_u = heads.reshape(rows, -1, 2, 1 << u)[:, :, 0, :]
-        without_u += (
-            outs[:, u, None, None] & targets.reshape(len(targets), -1, 2, 1 << u)[:, :, 0, :]
-        ) != 0
+        without_u += (outs[:, u, None, None] & targets.reshape(-1, 2, 1 << u)[:, 0, :]) != 0
     bad = (heads <= min(f, m)) & (targets != 0)
     # covered[P]: some bad set is a subset of P (subset-sum transform, one bit at a time)
     covered = bad.copy()
@@ -473,9 +462,9 @@ def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int]):
     violating.  Split nodes own disjoint columns of a row, so a row lies
     below another exactly when each node's (copy-0, copy-1) pair does, and
     it is enough to run the detector on the product of every split node's
-    Pareto-minimal pairs (``_node_rows``, then ``_pareto_minimal``).  The
-    rows come in chunks of at most ``_BATCH_CELLS >> m`` rows (always at
-    least one), so they are built only as the detector batches take them.
+    Pareto-minimal pairs (``_node_rows``, then ``_pareto_minimal``).  A batch
+    fills at most ``_BATCH_CELLS`` table cells (always at least one row),
+    so a layout whose rows fit is one batch.
     """
     tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
     combos = itertools.product(*tables)
@@ -535,8 +524,7 @@ def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int,
         universe |= 1 << b
     m = len(out)
     outs = np.array([[o if universe >> u & 1 else 0 for u, o in enumerate(out)]], dtype=np.int64)
-    fprimes = np.array([fprime], dtype=np.int64)
-    cl = _closures(outs, m, fprimes, _head_sets(universe, min(f, len(bits))))[0]
+    cl = _closures(outs, m, fprime, _head_sets(universe, min(f, len(bits))))[0]
     seeds = cl[:, [b for b in bits if not fprime >> b & 1]]
 
     def violating_pair(masks, closed) -> tuple[int, int] | None:
@@ -608,25 +596,12 @@ def _partition_base(condition: str) -> int:
     return 3 if condition == LCR else 2
 
 
-def _ab_batch_violated(out_bits, m: int, fprime, f: int) -> int:
+def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The reference AB detector over a batch, one split graph at a time:
-    the index of the first violating row, or -1.  ``fprime`` is one int for
-    every row or one per row.
-
-    A row's trailing nodes of F' without out-arcs (the padding of
-    ``_first_violation``, or a copy that heads no channel) are dropped
-    first: such a node carries no path and is never a target, so moving it
-    between A and B changes neither clause, and each one dropped halves the
-    partitions scanned."""
-    fprimes = np.broadcast_to(np.asarray(fprime, dtype=np.int64), (len(out_bits),)).tolist()
-    for i, (row, fp) in enumerate(zip(out_bits, fprimes)):
-        k = m
-        while k > 1 and fp >> (k - 1) & 1 and not row[k - 1]:
-            k -= 1
-        keep = (1 << k) - 1
-        if _ab_split_violated([o & keep for o in row[:k]], k, fp & keep, f) >= 0:
-            return i
-    return -1
+    the index of the first violating row, or -1."""
+    return next(
+        (i for i, r in enumerate(out_bits) if _ab_split_violated(r, m, fprime, f) >= 0), -1
+    )
 
 
 def _detector(condition: str):
@@ -637,115 +612,24 @@ def _detector(condition: str):
     raise ValueError(f"unknown condition {condition!r}")
 
 
-def _batch_rows(m: int, f: int) -> int:
-    """Rows of m-node split graphs per detector batch: as many as fill
-    ``_BATCH_CELLS`` cells of the LCR path that runs them, C(m, f) * m
-    closures a row or 2^m table cells a row, and at least one."""
-    closure_rows = max(1, _BATCH_CELLS // max(1, math.comb(m, min(f, m)) * m))
-    if _lcr_uses_closures(closure_rows, m, f):
-        return closure_rows
-    return max(1, _BATCH_CELLS >> m)
+def _scan_fault_set(
+    g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str, want_witness: bool = True
+) -> tuple[bool, int, int, Violation | None]:
+    """Decide one fault set, one split set at a time in ``split_sets`` order.
 
-
-def _first_violation(items, f: int, detect) -> tuple[object, bool]:
-    """Run ``detect`` over the rows of ``items`` in order and name the first
-    item that holds a violating row.
-
-    ``items`` yields (key, m, F', row chunks); each chunk is a list of rows
-    of m out-masks.  Rows are taken lazily.  The first row goes alone: a
-    graph that fails nearly always fails on it, the unsplit graph of the
-    empty fault set (924 of the 942 violated checks of criterion 1's
-    exhaustive n <= 4 corpus), so no other row is built for it.  The others
-    go in batches of at most ``_batch_rows(top, f)`` rows, ``top`` being the
-    batch's largest m; a smaller row is padded to ``top`` with nodes of F'
-    without arcs, which keeps its verdict (see ``_lcr_split_violated``).
-
-    Returns (key, True) for the first item with a violating row, or (the
-    last item's key, False).  A ``ValueError`` raised while the rows are
-    built (a refused split set) comes out only once the rows before it
-    hold, as it would in a scan one item at a time.
-    """
-    batch_rows = functools.cache(lambda size: _batch_rows(size, f))
-    last = None
-
-    def batches():
-        nonlocal last
-        batch: list[tuple[object, list[int], int]] = []
-        top = 0
-        first = True
-        try:
-            for key, m, fprime, chunks in items:
-                last = key
-                for chunk in chunks:
-                    for row in chunk:
-                        if batch and len(batch) >= batch_rows(max(top, m)):
-                            yield top, batch
-                            batch, top = [], 0
-                        batch.append((key, row, fprime))
-                        top = max(top, m)
-                        if first:
-                            yield top, batch
-                            batch, top, first = [], 0, False
-        except ValueError:
-            if batch:
-                yield top, batch
-            raise
-        if batch:
-            yield top, batch
-
-    for top, batch in batches():
-        rows = [row + [0] * (top - len(row)) for _, row, _ in batch]
-        fprimes = np.array([fp | (1 << top) - (1 << len(row)) for _, row, fp in batch], np.int64)
-        hit = detect(rows, top, fprimes, f)
-        if hit >= 0:
-            return batch[hit][0], True
-    return last, False
-
-
-def _split_set_items(g: DirectedHypergraph, fault_sets, f: int, condition: str):
-    """Every split set of every fault set, in the order of ``fault_sets``
-    and ``split_sets``, as ``_first_violation`` items whose rows are the
-    split set's Pareto-minimal rows (each node's highest-id slot pinned on
-    copy 0).  A key is (fault sets, split graphs, partitions, fault set,
-    split set, layout, slot groups), the counts being those of the family
-    before it; a last item without rows carries the totals.  An LCR split
-    set that the detector does not admit raises before its rows are built."""
-    base = _partition_base(condition)
-    done = splits = partitions = 0
-    for fset in fault_sets:
-        fset = frozenset(fset)
-        for x, layout in split_layouts(g, fset):
-            if condition == LCR:
-                _admit_lcr(layout.m, f)  # before the DP builds any pair
-            groups = _slot_groups(layout)
-            key = (done, splits, partitions, fset, x, layout, groups)
-            yield key, layout.m, layout.fprime, _light_splits(layout, groups, _pinned(groups))
-            family = 1 << len(layout.slots)
-            splits += family
-            partitions += family * base ** layout.m
-        done += 1
-    yield (done, splits, partitions, None, None, None, None), 0, 0, ()
-
-
-def _scan(
-    g: DirectedHypergraph, fault_sets, f: int, condition: str, want_witness: bool = True
-) -> tuple[bool, int, int, int, Violation | None]:
-    """Decide a list of fault sets in one stream of detector batches.
-
-    Returns ``(holds, fault sets, splits, partitions, violation)``.  The
-    distinct, Pareto-minimal rows of every split set of every fault set go
-    to the detector in order (``_split_set_items``, ``_first_violation``),
-    so one batch can hold rows of many split sets and fault sets.  The
-    first violating row names the first violated (fault set, split set),
-    which yields the canonical witness: its least violating assignment
-    counter, found bit by bit from the highest free slot down (a bit stays
-    0 when some completion of the lower bits still violates, and is 1
-    otherwise), then that split graph's first violating partition; only the
-    winning split graph is built.  Counters are arithmetic: a fault set
+    Returns ``(holds, splits, partitions, violation)``.  Each split set is
+    decided in one pass over its distinct, Pareto-minimal rows
+    (``_light_splits`` with every node's highest-id slot pinned on copy 0).
+    The first violated one yields the canonical witness: its least violating
+    assignment counter, found bit by bit from the highest free slot down (a
+    bit stays 0 when some completion of the lower bits still violates, and
+    is 1 otherwise), then that split graph's first violating partition; only
+    the winning split graph is built.  Counters are arithmetic: a fault set
     that holds counts its whole family, ``lambda_cardinality`` split graphs
     and every labelling of each, and a violated one counts up to its
     witness, as a scan in ``enumerate_lambda`` order would.  With
-    ``want_witness`` off, a violation returns ``(False, 0, 0, 0, None)``.
+    ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
+    None)`` at the first violating batch.
 
     An LCR split graph that neither detector path admits (more than
     ``MAX_LCR_NODES`` nodes and more than ``MAX_CLOSURE_PAIRS`` closure
@@ -754,38 +638,43 @@ def _scan(
     pairs.
     """
     detect = _detector(condition)
-    key, violated = _first_violation(_split_set_items(g, fault_sets, f, condition), f, detect)
-    done, splits, partitions, fset, x, layout, groups = key
-    if not violated:
-        return True, done, splits, partitions, None
-    if not want_witness:
-        return False, 0, 0, 0, None
-    fixed = _pinned(groups)
-    for j in reversed(range(len(layout.slots))):
-        if j not in fixed:
-            fixed[j] = 0
-            item = (layout, layout.m, layout.fprime, _light_splits(layout, groups, fixed))
-            if not _first_violation([item], f, detect)[1]:
-                fixed[j] = 1
-    counter = sum(copy << j for j, copy in fixed.items())
-    sh = split(g, fset, SplitSpec.make(x, {layout.slots[j][0]: c for j, c in fixed.items()}))
     canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
-    pidx, part = canonical(sh, f)
-    return (
-        False,
-        done + 1,
-        splits + counter + 1,
-        partitions + counter * _partition_base(condition) ** layout.m + pidx + 1,
-        Violation(fset, sh, part),
-    )
+    base = _partition_base(condition)
 
+    def violated(layout: SplitLayout, groups, fixed: dict[int, int]) -> bool:
+        return any(
+            detect(rows, layout.m, layout.fprime, f) >= 0
+            for rows in _light_splits(layout, groups, fixed)
+        )
 
-def _scan_fault_set(
-    g: DirectedHypergraph, fset: frozenset[int], f: int, condition: str, want_witness: bool = True
-) -> tuple[bool, int, int, Violation | None]:
-    """``_scan`` of one fault set: ``(holds, splits, partitions, violation)``."""
-    holds, _, splits, partitions, violation = _scan(g, [fset], f, condition, want_witness)
-    return holds, splits, partitions, violation
+    splits = partitions = 0
+    for x, layout in split_layouts(g, fset):
+        m = layout.m
+        if condition == LCR:
+            _admit_lcr(m, f)  # before the DP builds any pair
+        groups = _slot_groups(layout)
+        fixed = _pinned(groups)
+        if violated(layout, groups, fixed):
+            if not want_witness:
+                return False, 0, 0, None
+            for j in reversed(range(len(layout.slots))):
+                if j not in fixed:
+                    fixed[j] = 0
+                    if not violated(layout, groups, fixed):
+                        fixed[j] = 1
+            counter = sum(copy << j for j, copy in fixed.items())
+            sh = split(g, fset, SplitSpec.make(x, {layout.slots[j][0]: c for j, c in fixed.items()}))
+            pidx, part = canonical(sh, f)
+            return (
+                False,
+                splits + counter + 1,
+                partitions + counter * base ** m + pidx + 1,
+                Violation(fset, sh, part),
+            )
+        family = 1 << len(layout.slots)
+        splits += family
+        partitions += family * base ** m
+    return True, splits, partitions, None
 
 
 def check_with_fault_set(
@@ -805,12 +694,20 @@ def check_with_fault_set(
 
 
 def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
-    holds, fault_sets, splits, partitions, violation = _scan(
-        g, subsets_by_cardinality(g.nodes, f), f, condition
-    )
-    if not holds and not verify_witness(g, f, violation):
-        raise AssertionError("witness failed raw re-verification")
-    return ConditionReport(condition, f, holds, fault_sets, splits, partitions, violation)
+    fault_sets = splits_total = partitions_total = 0
+    for fset in subsets_by_cardinality(g.nodes, f):
+        fault_sets += 1
+        holds, splits, partitions, violation = _scan_fault_set(g, fset, f, condition)
+        splits_total += splits
+        partitions_total += partitions
+        if holds:
+            continue
+        if not verify_witness(g, f, violation):
+            raise AssertionError("witness failed raw re-verification")
+        return ConditionReport(
+            condition, f, False, fault_sets, splits_total, partitions_total, violation
+        )
+    return ConditionReport(condition, f, True, fault_sets, splits_total, partitions_total, None)
 
 
 def check_lcr_hyper(g: DirectedHypergraph, f: int) -> ConditionReport:

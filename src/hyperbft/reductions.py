@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .conditions import (
     PartitionLCR,
     _first_lcr_labelling,
-    _first_violation,
     _lcr_partition,
     _lcr_split_violated,
     check_lcr_hyper,
@@ -82,31 +81,16 @@ def check_lcr_local(g: DirectedHypergraph, f: int) -> ReducedReport:
 
 
 def _check_reduced(g: DirectedHypergraph, f: int, condition: str) -> ReducedReport:
-    """Either reduced condition, over every fault set of size <= f, in one
-    stream of detector batches (``conditions._first_violation``).
+    """Either reduced condition, over every fault set of size <= f.
 
     p2p labels the nodes of V - F with out-masks that drop faulty heads and
     targets; local labels all of V with the plain out-masks.  Heads and
     targets of a p2p labelling lie in V - F, where both masks agree."""
-    key, violated = _first_violation(_fault_set_items(g, f, condition), f, _lcr_split_violated)
-    fault_sets, partitions, fset, out, bits = key
-    if not violated:
-        return ReducedReport(condition, f, True, fault_sets, partitions, None)
-    pidx, *masks = _first_lcr_labelling(out, g.mask_of(fset), bits, f)
-    return ReducedReport(
-        condition, f, False, fault_sets + 1, partitions + pidx + 1,
-        ReducedViolation(fset, _lcr_partition(g, *masks)),
-    )
-
-
-def _fault_set_items(g: DirectedHypergraph, f: int, condition: str):
-    """Each fault set as a ``_first_violation`` item of one row, keyed by
-    (fault sets, partitions, fault set, out-masks, labelled bits), the
-    counts being those before it; a last item without rows carries the
-    totals."""
     m = len(g.node_order)
-    fault_sets = partitions = 0
+    fault_sets = 0
+    partitions = 0
     for fset in subsets_by_cardinality(g.nodes, f):
+        fault_sets += 1
         fmask = g.mask_of(fset)
         if condition == P2P:
             out = _p2p_masks(g, fmask)
@@ -114,10 +98,15 @@ def _fault_set_items(g: DirectedHypergraph, f: int, condition: str):
         else:
             out = list(g.out_union_masks)
             bits = list(range(m))
-        yield (fault_sets, partitions, fset, out, bits), m, fmask, [[out]]
-        fault_sets += 1
-        partitions += 3 ** len(bits)
-    yield (fault_sets, partitions, None, None, None), m, 0, ()
+        if _lcr_split_violated([out], m, fmask, f) < 0:
+            partitions += 3 ** len(bits)
+            continue
+        pidx, *masks = _first_lcr_labelling(out, fmask, bits, f)
+        return ReducedReport(
+            condition, f, False, fault_sets, partitions + pidx + 1,
+            ReducedViolation(fset, _lcr_partition(g, *masks)),
+        )
+    return ReducedReport(condition, f, True, fault_sets, partitions, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles with plain sets and
 exhaustive search, deliberately avoiding the bitmask, max-flow, and pruning
 machinery under test.  Keep inputs tiny (n <= 6 for paths, n <= 4 for the
-condition replays); the point is trust, not speed.  Two routines work on
-bitmasks: ``lcr_split_violated_loop`` is the plain-loop form of the LCR
+condition replays); the point is trust, not speed.  Three routines work on
+bitmasks: ``closures_search`` grows the detector's closures by a plain
+search, ``lcr_split_violated_loop`` is the plain-loop form of the LCR
 detector and serves as its reference, and ``first_lcr_labelling_scan`` is
 the canonical (L, C, R) scan that walks every labelling in product order,
 where the library builds the first violating labelling digit by digit from
@@ -24,8 +25,7 @@ set, where the library reads the fault set's touching channels once.
 one split graph per copy swap, in counter order, where the library decides
 a split set on its distinct, Pareto-minimal rows and finds the least
 violating counter bit by bit; ``check_per_fault_set`` runs it once per
-fault set and sums the counters, where the library decides every fault set
-of a check in one stream of detector batches.
+fault set and sums the counters.
 ``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
 the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
@@ -387,6 +387,30 @@ def split_layout_relifting(g: DirectedHypergraph, fault_set, x) -> SplitLayout:
     for b1 in copies.values():
         fprime |= 1 << b1
     return SplitLayout(m, fprime, tuple(static), tuple(slots))
+
+
+def closures_search(
+    out_bits: list[int], m: int, fprime: int, heads: list[int]
+) -> list[list[int]]:
+    """cl[h][v]: v, then every in-neighbour outside ``heads[h]`` of each
+    member outside F', and so on, by a plain search from v, where the
+    library squares a reach matrix or runs a bitmask Warshall."""
+    result = []
+    for hmask in heads:
+        row = []
+        for v in range(m):
+            cl, todo = 1 << v, [v]
+            while todo:
+                w = todo.pop()
+                if fprime >> w & 1:
+                    continue
+                for u in range(m):
+                    if out_bits[u] >> w & 1 and not (hmask | cl) >> u & 1:
+                        cl |= 1 << u
+                        todo.append(u)
+            row.append(cl)
+        result.append(row)
+    return result
 
 
 def lcr_split_violated_loop(out_bits: list[int], m: int, fprime: int, f: int) -> bool:

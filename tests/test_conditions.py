@@ -14,9 +14,10 @@ from hyperbft.conditions import (
     LCR,
     MAX_LCR_NODES,
     MAX_SPLIT_PAIRS,
-    _ab_batch_violated,
     _check,
+    _closures,
     _first_lcr_labelling,
+    _head_sets,
     _lcr_split_violated,
     _lcr_uses_closures,
     _light_splits,
@@ -44,6 +45,7 @@ from hyperbft.splitting import lambda_cardinality, split_layout, split_sets
 
 from oracles import (
     check_per_fault_set,
+    closures_search,
     first_lcr_labelling_scan,
     first_violation_rebuilding,
     lcr_split_violated_loop,
@@ -206,44 +208,21 @@ def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
                 assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
 
 
-@st.composite
-def mixed_row_batches(draw):
-    """(rows, fprimes, f): 1-24 random rows of 1-9 nodes each, each with its
-    own F' (often empty), at f = 0-2."""
-    f = draw(st.integers(min_value=0, max_value=2))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    rows, fprimes = [], []
-    for _ in range(draw(st.integers(min_value=1, max_value=24))):
-        m = rng.randint(1, 9)
-        density = rng.choice((0.1, 0.3, 0.6, 1.0))
-        rows.append(
-            [sum(1 << v for v in range(m) if v != u and rng.random() < density) for u in range(m)]
-        )
-        fprimes.append(rng.choice((0, rng.randrange(1 << m))))
-    return rows, fprimes, f
-
-
 @settings(max_examples=150, deadline=None)
-@given(mixed_row_batches())
-def test_padded_mixed_rows_keep_their_verdicts(case) -> None:
-    """Rows of mixed m, each with its own F', padded to the largest m with
-    nodes of F' that have no arcs, give the first index at which a one-row
-    call on the unpadded row violates: for the LCR detector as dispatched
-    and forced onto either path, and for the AB detector on rows of at most
-    6 nodes."""
-    rows, fprimes, f = case
-    top = max(len(r) for r in rows)
-    padded = [r + [0] * (top - len(r)) for r in rows]
-    padded_fprimes = np.array([fp | (1 << top) - (1 << len(r)) for r, fp in zip(rows, fprimes)])
-    detectors = [_lcr_split_violated] + ([_ab_batch_violated] if top <= 6 else [])
-    for detect in detectors:
-        alone = [detect([r], len(r), fp, f) >= 0 for r, fp in zip(rows, fprimes)]
-        first = alone.index(True) if any(alone) else -1
-        for closures in (None, True, False) if detect is _lcr_split_violated else (None,):
-            with pytest.MonkeyPatch.context() as mp:
-                if closures is not None:
-                    mp.setattr(conditions, "_lcr_uses_closures", lambda rows, m, f: closures)
-                assert detect(padded, top, padded_fprimes, f) == first
+@given(detector_batches(), st.integers(min_value=0, max_value=2**32))
+def test_squared_and_warshall_closures_match_the_search_oracle(case, seed) -> None:
+    """Each row's closures, over the head sets of a random node universe,
+    equal a plain search's: alone (squared when there are at most m head
+    sets) and repeated past m closure sets (the Warshall)."""
+    rows, m, fprime, f = case
+    universe = random.Random(seed).randrange(1 << m) | 1
+    heads = _head_sets(universe, min(f, universe.bit_count()))
+    for row in rows:
+        want = closures_search(row, m, fprime, heads.tolist())
+        alone = _closures(np.array([row], dtype=np.int64), m, fprime, heads)
+        repeated = _closures(np.array([row] * (m + 1), dtype=np.int64), m, fprime, heads)
+        assert alone[0].tolist() == want
+        assert all(cl.tolist() == want for cl in repeated)
 
 
 def test_detector_dispatch_follows_the_measured_costs() -> None:
@@ -449,9 +428,9 @@ def check_graphs(draw, max_n: int):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((LCR, AB)), st.integers(min_value=0, max_value=2), st.data())
-def test_batched_check_matches_the_per_fault_set_oracle(condition, f, data) -> None:
-    """One stream of detector batches over every fault set gives the report
-    of one ordered scan per fault set: verdict, witness and every counter.
+def test_check_matches_the_per_fault_set_oracle(condition, f, data) -> None:
+    """A check's report is that of one ordered scan per fault set: verdict,
+    witness and every counter.
     AB graphs keep to 5 nodes: the oracle runs the AB scan on every light
     split alone, which takes seconds on some 6-node graphs at f = 2."""
     g = data.draw(check_graphs(6 if condition == LCR else 5))
