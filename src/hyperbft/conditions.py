@@ -35,9 +35,9 @@ one, so the inclusion-minimal bad sets are closures and a split graph
 violates exactly when two closures are disjoint.  The detector grows the
 C(m, f) * m closures of each split graph at once and pair-tests the distinct
 ones, polynomial in m for fixed f.  A check calls it once per split set,
-mostly on one row, so with at most m head sets (one row at f <= 1) the
-closures come from squaring a 0/1 reach matrix, about 2 log2(m) numpy
-calls, and larger batches run an m-step bitmask Warshall.  Where C(m, f)^2
+mostly on one row; up to 512 closure cells (rows x head sets x nodes) the
+closures come from squaring a reach matrix in a few numpy calls, and
+larger batches run an m-step bitmask Warshall.  Where C(m, f)^2
 passes about 2^m (f large for m), and for large batches of small split
 graphs, the 2^m subset table is cheaper, and a cost rule fitted to measured
 timings runs it instead.  The canonical (L, C, R) labelling is built
@@ -89,6 +89,10 @@ MAX_WITNESS_CLOSURES = 1 << 22
 # the repeats do).
 _PAIR_BLOCK = 1 << 18
 _DEDUP_CELLS = 1 << 12
+# Closure cells (rows x head sets x nodes) up to which ``_closures`` squares
+# a reach matrix rather than running the Warshall; fitted to timings of both
+# on random rows (m = 4-20, f <= 3, 1-8 rows).
+_SQUARING_CELLS = 1 << 9
 # Most distinct (copy-0, copy-1) out-mask pairs the split-row DP holds for
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
@@ -214,33 +218,49 @@ def _head_sets(universe: int, k: int) -> np.ndarray:
     return heads
 
 
-def _closures(outs: np.ndarray, m: int, fprime: int, heads: np.ndarray) -> np.ndarray:
-    """cl[b, h, v]: the least set that holds v and every in-neighbour outside
-    ``heads[h]`` of each of its members outside F', in row b of ``outs``
-    (shape (B, m), int64).
+@functools.lru_cache(maxsize=64)
+def _squaring_tables(universe: int, k: int, m: int) -> tuple[np.ndarray, ...]:
+    """What ``_closures`` squares with, for the k-node head sets of the bits
+    of ``universe`` and m-node rows: bit shifts (m, 1), a 0/1 factor
+    (H, 1, m) that drops the in-neighbours in each head set, the m x m
+    identity and the bit weights (read-only, shared by every caller)."""
+    bit = np.int64(1) << np.arange(m, dtype=np.int64)
+    outside = ((_head_sets(universe, k)[:, None] & bit) == 0)[:, None, :].astype(np.float64)
+    tables = (np.arange(m, dtype=np.int64)[:, None], outside, np.eye(m), bit)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
-    With at most m closure sets (B * H <= m), the 0/1 matrix of one step
-    (v and its in-neighbours outside ``heads[h]``) is squared ceil(log2(m -
-    1)) times in float32, which covers every simple path: about 2 log2(m)
-    numpy calls where the Warshall makes 3m, and below m sets each call
-    costs more than its cells.  One row of 13 nodes at f = 1 takes about
-    35 us against 55 us.  More sets run a bitmask Warshall over shape
-    (B, H, m), whose cells grow m times slower; a node of F' adds nothing
-    as a pivot, since its own closure is itself."""
+
+def _closures(outs: np.ndarray, m: int, fprime: int, universe: int, k: int) -> np.ndarray:
+    """cl[b, h, v]: the least set that holds v and every in-neighbour outside
+    head set h of each of its members outside F', in row b of ``outs``
+    (shape (B, m), int64); the head sets are the k-node subsets of the bits
+    of ``universe`` (``_head_sets``).
+
+    Up to ``_SQUARING_CELLS`` cells (B * H * m), the matrix of one step (v
+    and its in-neighbours outside head set h) is squared ceil(log2(m - 1))
+    times, which covers every simple path: 11 numpy calls, where the
+    Warshall makes about 3m, and at that size each call costs more than its
+    cells.  One row of 13 nodes at f = 1 takes 55 us against 94 us (2-core
+    Xeon).  Past it a bitmask Warshall over shape (B, H, m) runs, whose
+    cells grow m log2(m) times slower; a node of F' adds nothing as a
+    pivot, since its own closure is itself."""
+    heads = _head_sets(universe, k)
+    if len(outs) * len(heads) * m <= _SQUARING_CELLS:
+        shifts, outside, eye, bit = _squaring_tables(universe, k, m)
+        into = (outs & ~fprime)[:, None, :] >> shifts & 1   # into[b, v, u]: u -> v, v not in F'
+        reach = into[:, None] * outside + eye
+        for _ in range(max(m - 2, 0).bit_length()):
+            # entries count walks: at most (m + 1)^(2m), finite in float64 for m <= 62
+            reach = reach @ reach
+        return (reach > 0) @ bit
     bit = np.int64(1) << np.arange(m, dtype=np.int64)
     arcs = (outs[:, :, None] & (bit & ~fprime)) != 0     # arcs[b, u, v]: u -> v, v not in F'
-    if len(outs) * len(heads) <= m:
-        # reach[b, h, v, u]: u is v or an in-neighbour of v outside heads[h]
-        outside = (heads[:, None] & bit) == 0
-        reach = (arcs.transpose(0, 2, 1)[:, None] & outside[:, None, :]).astype(np.float32)
-        reach[..., range(m), range(m)] = 1
-        for _ in range(max(m - 2, 0).bit_length()):
-            reach = np.minimum(reach @ reach, 1)
-        return reach.astype(np.int64) @ bit
     cl = (bit @ arcs)[:, None, :] & ~heads[:, None] | bit  # in-neighbours outside H, and v
-    for k in range(m):
-        if not fprime >> k & 1:
-            cl |= np.where(cl & (1 << k), cl[:, :, k, None], 0)
+    for pivot in range(m):
+        if not fprime >> pivot & 1:
+            cl |= np.where(cl & (1 << pivot), cl[:, :, pivot, None], 0)
     return cl
 
 
@@ -336,7 +356,7 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
         if not seeds:
             return -1
         outs = np.asarray(out_bits, dtype=np.int64)
-        cl = _closures(outs, m, fprime, _head_sets((1 << m) - 1, min(f, m)))[:, :, seeds]
+        cl = _closures(outs, m, fprime, (1 << m) - 1, min(f, m))[:, :, seeds]
         return _first_disjoint_row(cl.reshape(len(outs), -1), (1 << m) - 1)
     outs = np.asarray(out_bits, dtype=np.uint32)
     rows = len(outs)
@@ -524,7 +544,7 @@ def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int,
         universe |= 1 << b
     m = len(out)
     outs = np.array([[o if universe >> u & 1 else 0 for u, o in enumerate(out)]], dtype=np.int64)
-    cl = _closures(outs, m, fprime, _head_sets(universe, min(f, len(bits))))[0]
+    cl = _closures(outs, m, fprime, universe, min(f, len(bits)))[0]
     seeds = cl[:, [b for b in bits if not fprime >> b & 1]]
 
     def violating_pair(masks, closed) -> tuple[int, int] | None:

@@ -14,6 +14,7 @@ from hyperbft.conditions import (
     LCR,
     MAX_LCR_NODES,
     MAX_SPLIT_PAIRS,
+    _SQUARING_CELLS,
     _check,
     _closures,
     _first_lcr_labelling,
@@ -212,15 +213,17 @@ def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
 @given(detector_batches(), st.integers(min_value=0, max_value=2**32))
 def test_squared_and_warshall_closures_match_the_search_oracle(case, seed) -> None:
     """Each row's closures, over the head sets of a random node universe,
-    equal a plain search's: alone (squared when there are at most m head
-    sets) and repeated past m closure sets (the Warshall)."""
+    equal a plain search's: alone (squared) and repeated past
+    ``_SQUARING_CELLS`` closure cells (the Warshall)."""
     rows, m, fprime, f = case
     universe = random.Random(seed).randrange(1 << m) | 1
-    heads = _head_sets(universe, min(f, universe.bit_count()))
+    k = min(f, universe.bit_count())
+    heads = _head_sets(universe, k).tolist()
     for row in rows:
-        want = closures_search(row, m, fprime, heads.tolist())
-        alone = _closures(np.array([row], dtype=np.int64), m, fprime, heads)
-        repeated = _closures(np.array([row] * (m + 1), dtype=np.int64), m, fprime, heads)
+        want = closures_search(row, m, fprime, heads)
+        alone = _closures(np.array([row], dtype=np.int64), m, fprime, universe, k)
+        repeats = _SQUARING_CELLS // m + 1
+        repeated = _closures(np.array([row] * repeats, dtype=np.int64), m, fprime, universe, k)
         assert alone[0].tolist() == want
         assert all(cl.tolist() == want for cl in repeated)
 
