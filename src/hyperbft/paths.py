@@ -213,6 +213,20 @@ def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | N
         return ()
     if u not in g.nodes or v not in g.nodes:
         return None
+    return _trace(g, _distances_to(g, v), u, v)
+
+
+def canonical_paths_to(g: DirectedHypergraph, sources, v: int) -> dict:
+    """``canonical_path(g, u, v)`` for every u in ``sources``, from one
+    breadth-first search back from ``v``."""
+    if v not in g.nodes:
+        return {u: () if u == v else None for u in sources}
+    dist = _distances_to(g, v)
+    return {u: _trace(g, dist, u, v) for u in sources}
+
+
+def _distances_to(g: DirectedHypergraph, v: int) -> dict[int, int]:
+    """The hop distance to ``v`` of every node that reaches it."""
     bit = g.bit_of
     order = g.node_order
     inm = g.in_masks
@@ -232,6 +246,11 @@ def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | N
                     dist[x] = d
                     nxt.append(x)
         frontier = nxt
+    return dist
+
+
+def _trace(g: DirectedHypergraph, dist: dict[int, int], u: int, v: int) -> tuple[int, ...] | None:
+    """The canonical path from ``u`` down the distances ``dist`` to ``v``."""
     if u not in dist:
         return None
     path: list[int] = []
@@ -251,9 +270,14 @@ def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | N
 
 def exists_disjoint_packing(masks: list[int], k: int) -> bool:
     """True when ``k`` pairwise non-intersecting masks can be chosen."""
+    return packs_sorted(sorted(set(masks), key=lambda m: (m.bit_count(), m)), k)
+
+
+def packs_sorted(cands: list[int], k: int) -> bool:
+    """``exists_disjoint_packing`` on masks already distinct and ordered by
+    (popcount, mask): a depth-first search that tries sparse masks first."""
     if k <= 0:
         return True
-    cands = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     if len(cands) < k:
         return False
 

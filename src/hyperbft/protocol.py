@@ -21,12 +21,16 @@ Flooding is modeled exactly: a record is a simple trail (origin; e1...ek)
 whose value is transformed at every hop by the transmitting node - honestly
 for non-faulty nodes, by the adversary's rule for faulty ones.  A missing
 record is read as 1 at every decision point.  The engine precomputes the
-trail universe per graph; since an adversary's forward rule is a fixed map
-on {0, 1}, a flood is evaluated in closed form with a few numpy operations
-over the universe (each trail's origin emission, mapped once per faulty
-forwarder), so repeated runs (sweeps over inputs, fault sets, and
-adversaries) are cheap.  Phase transitions are memoized on the full state
-vector, and step (d)'s propagation test on the split and the Z/N sorting.
+trail universe per graph.  Since an adversary's forward rule is a fixed map
+on {0, 1}, ``flood_records`` evaluates a flood in closed form (each trail's
+origin emission, mapped once per faulty forwarder).  A record's value thus
+depends only on its origin's state: an honest flood takes each origin's
+state along its trails, and with deviating nodes the engine tabulates both
+values of every trail per seed set from two closed-form floods, so each
+later flood is one ``take`` over the trails' origins and one ``where``.
+Repeated runs (sweeps over inputs, fault sets, and adversaries) are thus
+cheap.  Phase transitions are memoized on the full state vector, and step
+(d)'s propagation test on the split and the Z/N sorting.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .conditions import subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
-from .paths import canonical_path, exists_disjoint_packing, propagates_bits
+from .paths import canonical_paths_to, packs_sorted, propagates_bits
 from .splitting import _MASK_BITS, SplitLayout, split_layout
 
 ABSENT = -1
@@ -252,8 +256,12 @@ class TrailUniverse:
         for e in g.edges:
             self.edge_head[e.id] = e.head
 
+        # receives[v]: the trails v receives by (length, tmask), then by id.
+        # A trail's length is its popcount in tmask, so any selection of them
+        # keeps equal masks adjacent and sparse masks first.
+        length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
         receives: dict[int, list[int]] = {v: [] for v in g.node_order}
-        for tid in range(self.size):
+        for tid in np.lexsort((self.tmask, length)).tolist():
             for w in tails_of[edges[tid]]:
                 receives[w].append(tid)
         self.receives = {v: np.array(ts, dtype=np.int32) for v, ts in receives.items()}
@@ -362,15 +370,19 @@ def flood_records(
 
 class Candidates(NamedTuple):
     """The trails one node weighs when it adopts a value in one phase, by
-    ascending id: ``masks`` holds their transmitters as node bits,
-    ``origin_bits`` their origins, and ``sent[k]`` the slot of the phase's
-    split layout on which the k-th node of sorted N(F, S) transmitted, -1
-    where it did not (int16, one column per trail)."""
+    ascending (popcount, mask) of their transmitter masks (node bits), then
+    by id: ``origin_bits`` holds their origins, and ``sent[k]`` the slot of
+    the phase's split layout on which the k-th node of sorted N(F, S)
+    transmitted, -1 where it did not (int16, one column per trail).
+    ``distinct`` holds each transmitter mask once, in that order, and
+    ``starts`` the index of its first trail, so a selection of trails maps
+    to its distinct masks with one ``reduceat``."""
 
     tids: np.ndarray
-    masks: np.ndarray
     origin_bits: np.ndarray
     sent: np.ndarray
+    distinct: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass
@@ -407,19 +419,27 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     nfs = g.in_neighborhood(fset, source)
     in_s = sorted(source)
 
-    def trail(sub: DirectedHypergraph, u: int, v: int) -> int | None:
-        path = canonical_path(sub, u, v)
-        return None if path is None else tu.tid(u, path)
-
-    # the restriction to S plus one fault channel does not depend on v
-    slot_subs = [
-        (g.edge_by_id[eid].head, g.induced_with_edges(source, (eid,)))
+    slots = [
+        (eid, g.edge_by_id[eid].head, sorted(g.edge_by_id[eid].tails & source))
         for eid, _, _, _ in layout.slots
     ]
-    cpath_f = {v: tuple(trail(sub, u, v) for u, sub in slot_subs) for v in in_s}
-    cpath_s = {
-        v: tuple((1 << bit[u], trail(reduced, u, v)) for u in in_s if u != v) for v in in_s
-    }
+    cpath_f = {}
+    cpath_s = {}
+    for v in in_s:
+        paths = canonical_paths_to(reduced, in_s, v)
+        cpath_s[v] = tuple(
+            (1 << bit[u], None if paths[u] is None else tu.tid(u, paths[u]))
+            for u in in_s if u != v
+        )
+        # No arc of G - F enters S, so a path between nodes of S stays in S.
+        # v's canonical trail through a fault channel, in S plus that channel,
+        # is thus the channel and then the canonical path from its tail in S
+        # nearest to v (least id on ties).
+        through = []
+        for eid, u, tails in slots:
+            near = [(len(paths[w]), w) for w in tails if paths[w] is not None]
+            through.append(tu.tid(u, (eid,) + paths[min(near)[1]]) if near else None)
+        cpath_f[v] = tuple(through)
 
     # slot_of[edge id] -> its layout slot; the extra last entry maps -1 to -1
     slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
@@ -436,8 +456,12 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
         masks = tu.tmask[tids]
         obits = origin_bits[tids]
         keep = ((masks & avoid) == 0) & ((obits & origins) != 0)
-        tids = tids[keep]
-        return Candidates(tids, masks[keep], obits[keep], sent[:, tids])
+        tids, masks = tids[keep], masks[keep]
+        # equal masks are adjacent: a run starts where the mask changes
+        first = np.ones(len(masks), dtype=bool)
+        np.not_equal(masks[1:], masks[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        return Candidates(tids, obits[keep], sent[:, tids], masks[starts], starts)
 
     # step (d) candidates: trails ending at v whose origin could sit on the
     # adopting side's complement; the receiving node itself must not appear
@@ -494,7 +518,10 @@ class Engine:
     """Shared per-graph simulator state.
 
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
-    (phase, split, Z, N); clearing it empties both."""
+    (phase, split, Z, N), and holds the flood tables of the current (fault
+    set, adversary) (``_flood``); clearing it empties all three.  The tables
+    take two int8 entries per trail and seed set, and a run with another
+    fault set or adversary replaces them."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
         if g.nodes != frozenset(range(g.n)):
@@ -510,7 +537,9 @@ class Engine:
         self.phases = [
             _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
-        self._cache: dict[tuple, object] = {}
+        self._fault_set_count = sum(math.comb(g.n, k) for k in range(min(f, g.n) + 1))
+        self._seeded: dict[frozenset[int], np.ndarray] = {}
+        self._cache: dict = {}
 
     # -- per-node protocol steps (reused by the indistinguishability harness)
 
@@ -565,28 +594,79 @@ class Engine:
         cand = ph.cand_d[v]
         on_side = np.array(side + [need_side])[cand.sent] == need_side
         ok = ((cand.origin_bits & (amask | ph.nfs_mask)) != 0) & on_side.all(axis=0)
-        return self._adopt(own_gamma, vals_b[cand.tids], cand.masks, ok)
+        return self._adopt(own_gamma, cand, vals_b, ok)
 
     def node_step_f(self, ph: PhaseData, v: int, own_gamma: int, vals_e: np.ndarray) -> int:
         """Step (f) as executed by node v outside S and F: adopt a value
         carried identically along f+1 node-disjoint trails from S in G - F."""
-        cand = ph.cand_f[v]
-        return self._adopt(own_gamma, vals_e[cand.tids], cand.masks)
+        return self._adopt(own_gamma, ph.cand_f[v], vals_e)
 
-    def _adopt(self, own_gamma: int, vals: np.ndarray, masks: np.ndarray, ok=True) -> int:
+    def _adopt(self, own_gamma: int, cand: Candidates, vals: np.ndarray, ok=None) -> int:
         """The value (0 first) that f+1 of the candidate trails kept by
-        ``ok`` carry identically with pairwise disjoint transmitter ``masks``,
-        a missing record read as 1; own_gamma when neither value is."""
-        vals = np.where(vals == ABSENT, 1, vals)
+        ``ok`` (all when None) carry identically in the flood ``vals`` with
+        pairwise disjoint transmitter masks, a missing record read as 1;
+        own_gamma when neither value is."""
+        k = self.f + 1
+        if len(cand.distinct) < k:
+            return own_gamma
+        vals = vals[cand.tids]
         for b in (0, 1):
-            sel = (vals == b) & ok
-            if np.count_nonzero(sel) > self.f and exists_disjoint_packing(
-                masks[sel].tolist(), self.f + 1
-            ):
+            sel = vals == 0 if b == 0 else (vals == 1) | (vals == ABSENT)
+            if ok is not None:
+                sel &= ok
+            if packs_sorted(cand.distinct[np.logical_or.reduceat(sel, cand.starts)].tolist(), k):
                 return b
         return own_gamma
 
     # -- one phase ----------------------------------------------------------
+
+    def _flood(
+        self,
+        seeds: frozenset[int],
+        gamma: tuple[int, ...],
+        faulty: frozenset[int],
+        adversary: Adversary,
+    ) -> np.ndarray:
+        """``flood_records(self.tu, seeds, gamma, faulty, adversary)`` for
+        the bit states a run keeps when faulty nodes deviate, any states
+        otherwise; the records come back int8 with deviating nodes.
+
+        An honest flood carries each seeded origin's state along its
+        trails.  With deviating nodes a record's value is fixed by its
+        origin's state bit.  So the first flood of a seed set runs
+        ``flood_records`` and is kept; the second also runs it on the first
+        one's flipped states, which gives both values of every trail, and
+        tabulates them; each later flood picks one table per trail by its
+        origin's state.  Only the current (fault set, adversary) keeps its
+        tables."""
+        if adversary.follows_protocol or not faulty:
+            seeded = self._seeded.get(seeds)
+            if seeded is None:
+                seeded = self._seeded[seeds] = np.zeros(self.g.n, dtype=bool)
+                seeded[list(seeds)] = True
+            emission = np.where(seeded, np.array(gamma, dtype=np.int16), np.int16(ABSENT))
+            return emission.take(self.tu.origin)
+        fkey = (faulty, adversary.key)
+        current = self._cache.get("floods")
+        if current is None or current[0] != fkey:
+            current = self._cache["floods"] = (fkey, {})
+        tables = current[1].get(seeds)
+        if tables is None:
+            vals = flood_records(self.tu, seeds, gamma, faulty, adversary).astype(np.int8)
+            current[1][seeds] = (gamma, vals)
+            return vals
+        if isinstance(tables, tuple):
+            # the second flood of a seed set: its first flood, and the flood
+            # of the first flood's flipped states, hold both values of every trail
+            first_gamma, first = tables
+            flipped = tuple(1 - b for b in first_gamma)
+            other = flood_records(self.tu, seeds, flipped, faulty, adversary).astype(np.int8)
+            was_one = (np.array(first_gamma) == 1).take(self.tu.origin)
+            tables = current[1][seeds] = np.array(
+                [np.where(was_one, other, first), np.where(was_one, first, other)]
+            )
+        ones = np.array(gamma) == 1
+        return np.where(ones.take(self.tu.origin), tables[1], tables[0])
 
     def _eval_phase(
         self,
@@ -598,11 +678,11 @@ class Engine:
         if ph.source is None:
             return gamma
         new_gamma = list(gamma)
-        vals_b = flood_records(self.tu, ph.seeds_b, gamma, faulty, adversary)
+        vals_b = self._flood(ph.seeds_b, gamma, faulty, adversary)
         for v in sorted(ph.source):
             new_gamma[v] = self.node_step_cd(ph, v, gamma[v], vals_b)
         # step (e)+(f): S floods its updated state, the rest adopts
-        vals_e = flood_records(self.tu, ph.source, tuple(new_gamma), faulty, adversary)
+        vals_e = self._flood(ph.source, tuple(new_gamma), faulty, adversary)
         for v in ph.updaters_f:
             new_gamma[v] = self.node_step_f(ph, v, gamma[v], vals_e)
         return tuple(new_gamma)
@@ -627,47 +707,42 @@ class Engine:
         honest = [v for v in range(self.g.n) if v not in fstar]
         start_states = {gamma[v] for v in honest}
 
+        # this (fault set, adversary)'s phase memo: (phase index, states) -> outcome
+        memo = self._cache.setdefault(fkey, {})
         phases: list[PhaseOutcome] = []
         validity_ok = True
         exact_ok = True
         for idx, ph in enumerate(self.phases):
-            key = (fkey, idx, gamma)
-            hit = self._cache.get(key)
-            if hit is None:
+            outcome = memo.get((idx, gamma))
+            if outcome is None:
                 before = {gamma[v] for v in honest}
                 new_gamma = self._eval_phase(ph, gamma, fstar, adv)
-                sources_ok = all(new_gamma[v] in before for v in honest)
                 if ph.fault_set == fstar and ph.source is not None:
                     agreement = len({new_gamma[v] for v in honest}) <= 1
                 else:
                     agreement = None
-                self._cache[key] = (new_gamma, sources_ok, agreement)
-                hit = self._cache[key]
-            new_gamma, sources_ok, agreement = hit
-            phases.append(
-                PhaseOutcome(
+                outcome = memo[idx, gamma] = PhaseOutcome(
                     tuple(sorted(ph.fault_set)),
                     ph.source is None,
-                    sources_ok,
+                    all(new_gamma[v] in before for v in honest),
                     agreement,
                     new_gamma,
                 )
-            )
-            validity_ok &= sources_ok
-            if agreement is not None:
-                exact_ok &= agreement
-            gamma = new_gamma
+            phases.append(outcome)
+            validity_ok &= outcome.state_sources_ok
+            if outcome.agreement_reached is not None:
+                exact_ok &= outcome.agreement_reached
+            gamma = outcome.state
 
         outputs = {v: gamma[v] for v in honest}
         out_vals = set(outputs.values())
-        fault_set_count = sum(math.comb(self.g.n, k) for k in range(min(self.f, self.g.n) + 1))
         result = RunResult(
             f=self.f,
             faulty=tuple(sorted(fstar)),
             adversary=adv.name,
             inputs=tuple(sorted(inputs.items())),
             outputs=tuple(sorted(outputs.items())),
-            terminated=len(phases) == fault_set_count and out_vals <= {0, 1},
+            terminated=len(phases) == self._fault_set_count and out_vals <= {0, 1},
             agreement=len(out_vals) <= 1,
             validity=out_vals <= start_states,
             phase_validity_ok=validity_ok,

@@ -192,7 +192,7 @@ def triple_cover_condition(g: DirectedHypergraph, f: int) -> bool:
         for s in g.undirected_hyperedge_sets
     ]
     # larger hyperedges are more likely witnesses; scan them first
-    hyper.sort(key=lambda h: (-bin(h).count("1"), h))
+    hyper.sort(key=lambda h: (-h.bit_count(), h))
     subsets = []
     for combo in itertools.combinations(range(n), f):
         m = 0
@@ -213,7 +213,7 @@ def triple_cover_condition(g: DirectedHypergraph, f: int) -> bool:
             m2 = subsets[j]
             u12 = m1 | m2
             missing = full & ~u12
-            miss_count = bin(missing).count("1")
+            miss_count = missing.bit_count()
             if miss_count > f:
                 continue
             covered = [b for b in range(n) if u12 >> b & 1]
@@ -250,9 +250,9 @@ def hyper_k_connected(g: DirectedHypergraph, ell: int, t: int, k: int) -> bool:
     hyper = [
         m
         for s in g.undirected_hyperedge_sets
-        if bin(m := sum(1 << pos[v] for v in s)).count("1") >= ell
+        if (m := sum(1 << pos[v] for v in s)).bit_count() >= ell
     ]
-    hyper.sort(key=lambda h: (-bin(h).count("1"), h))
+    hyper.sort(key=lambda h: (-h.bit_count(), h))
 
     def parts_witnessed(parts: list[int]) -> bool:
         for h in hyper:
@@ -269,7 +269,7 @@ def hyper_k_connected(g: DirectedHypergraph, ell: int, t: int, k: int) -> bool:
                 return len(parts) < ell or parts_witnessed(parts)
             b = 1 << pos[rest[i]]
             for j in range(len(parts)):
-                if bin(parts[j]).count("1") < t:
+                if parts[j].bit_count() < t:
                     parts[j] |= b
                     if not expand(i + 1, parts):
                         return False

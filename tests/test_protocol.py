@@ -19,6 +19,7 @@ from hyperbft.generators import (
     sample_condition_passing,
 )
 from hyperbft.hypergraph import DirectedHypergraph
+from hyperbft.paths import canonical_path, exists_disjoint_packing
 from hyperbft.protocol import (
     ABSENT,
     ADVERSARY_NAMES,
@@ -152,6 +153,107 @@ def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
         want = flood_records_layered(tu, seeds, gamma, faulty, adv)
         assert got.dtype == np.int16
         assert np.array_equal(got, want), getattr(adv, "name", None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_tabulated_floods_match_flood_records(n, m, f, seed, data) -> None:
+    """Both floods of every phase, read off the engine's tables, equal the
+    closed form, for every library adversary, a pinned split persona and a
+    custom rule.  Each seed set is flooded three times: the first flood runs
+    the closed form, the second tabulates, the third reads the tables alone.
+    Honest floods also carry states that are not bits."""
+    g = random_hypergraph(n, m, seed)
+    engine = Engine(g, f)
+    faulty = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=f), label="faulty"))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    states = st.lists(st.integers(-1, 9), min_size=n, max_size=n).map(tuple)
+    for adv in _flood_adversaries(g, faulty):
+        deviates = bool(faulty) and not adv.follows_protocol
+        for ph in engine.phases:
+            if ph.source is None:
+                continue
+            for seeds in (ph.seeds_b, ph.source):
+                for _ in range(3):
+                    gamma = data.draw(bits if deviates else states, label="gamma")
+                    got = engine._flood(seeds, gamma, faulty, adv)
+                    want = flood_records(engine.tu, seeds, gamma, faulty, adv)
+                    assert np.array_equal(got, want), (adv.name, sorted(seeds), gamma)
+        if deviates:
+            assert engine._cache["floods"][0] == (faulty, adv.key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_phase_trails_are_the_canonical_paths(n, m, f, seed) -> None:
+    """Each phase's traced trails are the canonical paths: from every other
+    node of S in G - F, and through each fault channel in S plus that
+    channel."""
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    engine = Engine(g, f)
+    tu = engine.tu
+
+    def tid(sub, u, v):
+        path = canonical_path(sub, u, v)
+        return None if path is None else tu.tid(u, path)
+
+    for ph in engine.phases:
+        if ph.source is None:
+            continue
+        reduced = g.remove_nodes(ph.fault_set)
+        for v in sorted(ph.source):
+            others = [u for u in sorted(ph.source) if u != v]
+            assert ph.cpath_s[v] == tuple((1 << g.bit_of[u], tid(reduced, u, v)) for u in others)
+            assert ph.cpath_f[v] == tuple(
+                tid(g.induced_with_edges(ph.source, (eid,)), g.edge_by_id[eid].head, v)
+                for eid, _, _, _ in ph.layout.slots
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_adopt_on_sorted_distinct_masks_matches_the_raw_packing(n, m, f, seed) -> None:
+    """Every candidate table is ordered by (popcount, mask) with its
+    distinct masks recorded, and ``_adopt`` on it agrees with
+    ``exists_disjoint_packing`` on the selected masks, shuffled and with
+    repeats, for k = f + 1 = 1-3."""
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    engine = Engine(g, f)
+    rng = np.random.default_rng(seed)
+    for ph in engine.phases:
+        for cand in [*ph.cand_d.values(), *ph.cand_f.values()]:
+            cand_masks = engine.tu.tmask[cand.tids]
+            masks = cand_masks.tolist()
+            assert masks == sorted(masks, key=lambda x: (x.bit_count(), x))
+            assert cand.distinct.tolist() == list(dict.fromkeys(masks))
+            assert cand_masks[cand.starts].tolist() == cand.distinct.tolist()
+            vals = rng.choice(np.array([ABSENT, 0, 1], dtype=np.int8), engine.tu.size)
+            read = np.where(vals[cand.tids] == ABSENT, 1, vals[cand.tids])
+            for ok in (None, rng.random(len(cand.tids)) < 0.7):
+                want = 7
+                for b in (0, 1):
+                    raw = cand_masks[(read == b) & (True if ok is None else ok)].tolist()
+                    rng.shuffle(raw)
+                    if exists_disjoint_packing(raw, f + 1):
+                        want = b
+                        break
+                assert engine._adopt(7, cand, vals, ok) == want
 
 
 @settings(max_examples=200, deadline=None)
