@@ -520,8 +520,8 @@ class Engine:
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
     (phase, split, Z, N), and holds the flood tables of the current (fault
     set, adversary) (``_flood``); clearing it empties all three.  The tables
-    take two int8 entries per trail and seed set, and a run with another
-    fault set or adversary replaces them."""
+    take at most two int8 entries per trail and seed set, and a run with
+    another fault set or adversary replaces them."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
         if g.nodes != frozenset(range(g.n)):
