@@ -56,6 +56,10 @@ WORKERS_ENV = "HYPERBFT_WORKERS"
 # (complete_p2p(8) has 767,200, complete_p2p(9) 7,891,272); a graph with
 # more is refused with a ValueError before any trail is built.
 MAX_TRAILS = 1_000_000
+# With deviating faulty nodes the engine keeps two int8 values per trail for
+# each seed set it floods (``Engine._flood``), as long as all of them fit in
+# this many bytes; complete_p2p(8) fits 10 seed sets, complete_p2p(7) 102.
+MAX_FLOOD_TABLE_BYTES = 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +330,23 @@ def flood_records(
     ``adversary`` (none: everybody is honest).  Returns an int16 array indexed
     by trail id, ABSENT for records that never materialize.
 
-    In closed form: every channel's emission is looked up by each trail's
-    first channel, then the adversary's forward map is applied k times, k
-    being the number of faulty forwarders on the trail (told by ``tmask``, so
-    an adversary needs an ungrouped universe).
+    In closed form: an honest flood carries each seeded origin's state along
+    its trails.  Otherwise every channel's emission is looked up by each
+    trail's first channel, then the adversary's forward map is applied k
+    times, k being the number of faulty forwarders on the trail (told by
+    ``tmask``, so an adversary needs an ungrouped universe).
     """
     g = tu.g
     garr = np.array([gamma[v] for v in range(g.n)], dtype=np.int16)
     seeded = np.zeros(g.n, dtype=bool)
     seeded[list(seeds)] = True
-    heads = tu.edge_head
-    emission = np.where(seeded[heads], garr[heads], np.int16(ABSENT))
+    states = np.where(seeded, garr, np.int16(ABSENT))
     if adversary is None or adversary.follows_protocol or not faulty:
-        return emission.take(tu.first_edge)
+        return states.take(tu.origin)
     if tu.grouped:
         raise ValueError("an adversary needs a trail universe without groups")
+    heads = tu.edge_head
+    emission = states.take(heads)
     bit = g.bit_of
     for w in faulty:
         if seeded[w]:
@@ -520,8 +526,9 @@ class Engine:
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
     (phase, split, Z, N), and holds the flood tables of the current (fault
     set, adversary) (``_flood``); clearing it empties all three.  The tables
-    take at most two int8 entries per trail and seed set, and a run with
-    another fault set or adversary replaces them."""
+    take two int8 entries per trail and kept seed set, at most
+    ``MAX_FLOOD_TABLE_BYTES`` in all, and a run with another fault set or
+    adversary replaces them."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
         if g.nodes != frozenset(range(g.n)):
@@ -538,7 +545,6 @@ class Engine:
             _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
         self._fault_set_count = sum(math.comb(g.n, k) for k in range(min(f, g.n) + 1))
-        self._seeded: dict[frozenset[int], np.ndarray] = {}
         self._cache: dict = {}
 
     # -- per-node protocol steps (reused by the indistinguishability harness)
@@ -627,25 +633,19 @@ class Engine:
         faulty: frozenset[int],
         adversary: Adversary,
     ) -> np.ndarray:
-        """``flood_records(self.tu, seeds, gamma, faulty, adversary)`` for
-        the bit states a run keeps when faulty nodes deviate, any states
-        otherwise; the records come back int8 with deviating nodes.
+        """``flood_records(self.tu, seeds, gamma, faulty, adversary)``;
+        the records come back int8 when faulty nodes deviate.
 
-        An honest flood carries each seeded origin's state along its
-        trails.  With deviating nodes a record's value is fixed by its
-        origin's state bit.  So the first flood of a seed set runs
-        ``flood_records`` and is kept; the second also runs it on the first
-        one's flipped states, which gives both values of every trail, and
-        tabulates them; each later flood picks one table per trail by its
-        origin's state.  Only the current (fault set, adversary) keeps its
-        tables."""
+        With deviating nodes a record's value is fixed by its origin's
+        state bit.  So the first flood of a seed set runs ``flood_records``
+        and is kept; the second also runs it on the first one's flipped
+        states, which gives both values of every trail, and tabulates them;
+        each later flood picks one table per trail by its origin's state.
+        Only the current (fault set, adversary) keeps its tables, and only
+        for the seed sets that fit in ``MAX_FLOOD_TABLE_BYTES``; the others
+        run ``flood_records`` on every flood."""
         if adversary.follows_protocol or not faulty:
-            seeded = self._seeded.get(seeds)
-            if seeded is None:
-                seeded = self._seeded[seeds] = np.zeros(self.g.n, dtype=bool)
-                seeded[list(seeds)] = True
-            emission = np.where(seeded, np.array(gamma, dtype=np.int16), np.int16(ABSENT))
-            return emission.take(self.tu.origin)
+            return flood_records(self.tu, seeds, gamma)
         fkey = (faulty, adversary.key)
         current = self._cache.get("floods")
         if current is None or current[0] != fkey:
@@ -653,7 +653,9 @@ class Engine:
         tables = current[1].get(seeds)
         if tables is None:
             vals = flood_records(self.tu, seeds, gamma, faulty, adversary).astype(np.int8)
-            current[1][seeds] = (gamma, vals)
+            # keep it only if both tables of every kept seed set fit
+            if 2 * vals.nbytes * (len(current[1]) + 1) <= MAX_FLOOD_TABLE_BYTES:
+                current[1][seeds] = (gamma, vals)
             return vals
         if isinstance(tables, tuple):
             # the second flood of a seed set: its first flood, and the flood

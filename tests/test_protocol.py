@@ -155,6 +155,25 @@ def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
         assert np.array_equal(got, want), getattr(adv, "name", None)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_honest_flood_carries_any_state(n, m, seed, data) -> None:
+    """An honest flood takes each seeded origin's state, bit or not, along
+    its trails, as the layered oracle does."""
+    g = random_hypergraph(n, m, seed)
+    tu = TrailUniverse(g)
+    seeds = data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="seeds")
+    gamma = data.draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n), label="gamma")
+    got = flood_records(tu, seeds, gamma)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, flood_records_layered(tu, seeds, gamma))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=5),
@@ -185,8 +204,25 @@ def test_tabulated_floods_match_flood_records(n, m, f, seed, data) -> None:
                     got = engine._flood(seeds, gamma, faulty, adv)
                     want = flood_records(engine.tu, seeds, gamma, faulty, adv)
                     assert np.array_equal(got, want), (adv.name, sorted(seeds), gamma)
-        if deviates:
+        if deviates and any(ph.source is not None for ph in engine.phases):
             assert engine._cache["floods"][0] == (faulty, adv.key)
+
+
+def test_flood_tables_stop_at_their_byte_bound(monkeypatch) -> None:
+    """Past ``MAX_FLOOD_TABLE_BYTES`` a seed set keeps no table, and its
+    floods still equal the closed form."""
+    g = complete_p2p(5)
+    engine = Engine(g, 1)
+    monkeypatch.setattr(protocol, "MAX_FLOOD_TABLE_BYTES", 2 * 2 * engine.tu.size)
+    faulty, adv = frozenset({4}), make_adversary("flip_forwarding")
+    seed_sets = [frozenset(range(5)) - {v} for v in range(4)]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        for seeds in seed_sets:
+            gamma = tuple(rng.integers(0, 2, 5).tolist())
+            got = engine._flood(seeds, gamma, faulty, adv)
+            assert np.array_equal(got, flood_records(engine.tu, seeds, gamma, faulty, adv))
+    assert list(engine._cache["floods"][1]) == seed_sets[:2]
 
 
 @settings(max_examples=100, deadline=None)
