@@ -34,15 +34,14 @@ outside H of each member outside F', and so on), and every bad set contains
 one, so the inclusion-minimal bad sets are closures and a split graph
 violates exactly when two closures are disjoint.  The detector grows the
 C(m, f) * m closures of each split graph at once and pair-tests the distinct
-ones, polynomial in m for fixed f.  A check calls it once per split set,
-mostly on one row; up to 512 closure cells (rows x head sets x nodes) the
-closures come from squaring a reach matrix in a few numpy calls, and
-larger batches run an m-step bitmask Warshall.  Where C(m, f)^2
-passes about 2^m (f large for m), and for large batches of small split
-graphs, the 2^m subset table is cheaper, and a cost rule fitted to measured
-timings runs it instead.  The canonical (L, C, R) labelling is built
-digit by digit from the same closures, with no scan over the 3^m
-labellings.
+ones, polynomial in m for fixed f.  A split graph of m <= 2f nodes needs
+none of that: its nodes split into two halves of at most f nodes each, so
+it violates exactly when two of them lie outside F'.  A check calls the
+detector once per split set, mostly on one row; up to 512 closure cells
+(rows x head sets x nodes) the closures come from squaring a reach matrix
+in a few numpy calls, and larger batches run an m-step bitmask Warshall.
+The canonical (L, C, R) labelling is built digit by digit from the same
+closures, with no scan over the 3^m labellings.
 """
 
 from __future__ import annotations
@@ -68,21 +67,18 @@ from .splitting import (
 LCR = "lcr-hyper"
 AB = "ab-hyper"
 
-# Largest split graph the LCR detector's table path accepts.  Its tables
-# take 8 bytes per subset of the m nodes, so the peak allocation at m = 26
-# is 512 MiB and doubles with every further node.
-MAX_LCR_NODES = 26
-# Most closure pairs, (C(m, min(f, m)) * m)^2, the closure path accepts per
-# split graph; split graphs that pass both limits are refused.  At the limit
-# a detector call's traced peak stays under 4 MiB (int64 closures, pairs
-# compared in blocks), so the limit bounds time: a worst-case pair test,
-# 32,768 distinct closures that pairwise intersect, takes about 1.3 s.
-MAX_CLOSURE_PAIRS = 1 << 30
+# Most closure pairs, (C(m, f) * m)^2, the LCR detector accepts per split
+# graph of m > 2f nodes; larger ones are refused.  A detector call's traced
+# peak stays about 5 MiB (one dense row at m = 51, f = 2: 65,025 int64
+# closures, pairs compared in blocks), so the limit bounds time: a
+# worst-case pair test over 65,536 distinct closures that pairwise
+# intersect takes about 3.9 s (32,768: 1.0 s; 2-core Xeon).
+MAX_CLOSURE_PAIRS = 1 << 32
 # Most closures (head sets x nodes) the canonical witness search holds.  It
 # keeps a few int64 arrays of that many cells, about 53 bytes per closure at
 # its traced peak: 46 MiB at 875,160 closures (18 nodes, f=9), 92 MiB at
-# 1,755,182 (19 nodes, f=9), so about 220 MiB at the limit, below the
-# table's 512 MiB at MAX_LCR_NODES.  The table decides such split graphs.
+# 1,755,182 (19 nodes, f=9), so about 220 MiB at the limit.  It binds only
+# where m <= 2f, whose verdict the detector's closed form gives.
 MAX_WITNESS_CLOSURES = 1 << 22
 # Closure pairs compared at once by the pair test, and the pair count above
 # which it first drops repeated closures (below it, sorting costs more than
@@ -97,9 +93,10 @@ _SQUARING_CELLS = 1 << 9
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
 MAX_SPLIT_PAIRS = 1 << 18
-# Table cells (rows x 2^m) per batch of split graphs; the closure path takes
-# the same batches.
-_BATCH_CELLS = 1 << 16
+# Closure cells (rows x C(m, f) x m) per batch of split graphs.  Larger
+# batches leave the cache: at 2^16 cells complete_p2p(7) and (8) at f=2
+# check 1.5x slower than at 2^14, and at 2^12 the per-call cost shows.
+_BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -176,36 +173,17 @@ def propagates(
 
 
 def _admit_lcr(m: int, f: int) -> None:
-    """Raise ``ValueError`` when neither LCR detector path admits m-node
-    split graphs at f: more than ``MAX_LCR_NODES`` nodes for the table and
-    more than ``MAX_CLOSURE_PAIRS`` closure pairs for the closure path."""
-    closures = math.comb(m, min(f, m)) * m
-    if m > MAX_LCR_NODES and closures * closures > MAX_CLOSURE_PAIRS:
-        raise ValueError(
-            f"split graph has {m} nodes; at f={f} the LCR detector's table takes at most "
-            f"{MAX_LCR_NODES} nodes (it grows as 2^m) and its closure pairs at most "
-            f"{MAX_CLOSURE_PAIRS} (here {closures}^2)"
-        )
-
-
-def _lcr_uses_closures(rows: int, m: int, f: int) -> bool:
-    """Whether the LCR detector decides a batch of ``rows`` m-node split
-    graphs by closures rather than by the subset table, once ``_admit_lcr``
-    has admitted m.  Past one path's limit the other one runs.  Otherwise a
-    row costs about m * 2^m cells on the table and, with k = C(m, f) head
-    sets, k * m^2 Warshall cells plus k^2 pair cells (dense rows keep about
-    one distinct closure per head set) on the closure path, at about twice
-    the time per cell; a call of the closure path also costs some 512 * m
-    table cells less in fixed numpy work.  The rule is fitted to timings of
-    both paths on random rows (arc densities 0.3 and 0.9, m = 4-16, every
-    f up to m/2, batches of 1 and of up to 64 rows)."""
-    heads = math.comb(m, min(f, m))
-    closures = heads * m
+    """Raise ``ValueError`` when m-node split graphs at f have more than
+    ``MAX_CLOSURE_PAIRS`` closure pairs; the closed form for m <= 2f
+    admits every m."""
+    if m <= 2 * f:
+        return
+    closures = math.comb(m, f) * m
     if closures * closures > MAX_CLOSURE_PAIRS:
-        return False
-    if m > MAX_LCR_NODES:
-        return True
-    return 2 * rows * (closures * m + heads * heads) < rows * (m << m) + (m << 9)
+        raise ValueError(
+            f"split graph has {m} nodes; at f={f} the LCR detector takes at most "
+            f"{MAX_CLOSURE_PAIRS} closure pairs (here {closures}^2)"
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -335,48 +313,36 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     it, so a violation is exactly a disjoint pair of bad sets (L, R; C is
     whatever remains).
 
-    Two paths decide that, chosen by ``_lcr_uses_closures`` from (B, m, f):
-
-    * the closure path.  The bad sets whose heads lie in a fixed head set H
-      are closed under union and intersection, and the least one holding a
-      node x outside F' is the closure cl_H(x): x, every in-neighbour
-      outside H of each member outside F', and so on.  Every bad set
-      contains such a closure (its own heads, padded to min(f, m) nodes,
-      and any x of P - F'), so the inclusion-minimal bad sets are closures,
-      and a split graph violates exactly when two closures are disjoint.
-      Cost: C(m, f) * m closures, m Warshall steps over them, and a pair
-      test over the distinct ones; polynomial in m for fixed f.
-    * the table path: heads[b, P] for all 2^m sets P, then a subset-sum
-      transform marks the sets that contain a bad set, and a bad X whose
-      complement is marked violates.  Cost m * 2^m cells per row.
+    When m <= 2f, V' splits into two halves of at most f nodes each, and
+    each half has at most f heads outside it: a half is bad as soon as it
+    holds a node outside F'.  So when two nodes lie outside F', halves that
+    part them violate in every row; otherwise no two bad sets are disjoint
+    and no row violates.  Larger split graphs go to ``_closure_violated``.
     """
     _admit_lcr(m, f)
-    if _lcr_uses_closures(len(out_bits), m, f):
-        seeds = [v for v in range(m) if not fprime >> v & 1]
-        if not seeds:
-            return -1
-        outs = np.asarray(out_bits, dtype=np.int64)
-        cl = _closures(outs, m, fprime, (1 << m) - 1, min(f, m))[:, :, seeds]
-        return _first_disjoint_row(cl.reshape(len(outs), -1), (1 << m) - 1)
-    outs = np.asarray(out_bits, dtype=np.uint32)
-    rows = len(outs)
-    size = 1 << m
-    # targets[P] = P - F'; heads[b, P] = number of heads of V' - P into it
-    targets = np.arange(size, dtype=np.uint32) & np.uint32(~fprime & (size - 1))
-    heads = np.zeros((rows, size), dtype=np.uint8)
-    for u in range(m):
-        # the sets P without u, where u is a candidate head
-        without_u = heads.reshape(rows, -1, 2, 1 << u)[:, :, 0, :]
-        without_u += (outs[:, u, None, None] & targets.reshape(-1, 2, 1 << u)[:, 0, :]) != 0
-    bad = (heads <= min(f, m)) & (targets != 0)
-    # covered[P]: some bad set is a subset of P (subset-sum transform, one bit at a time)
-    covered = bad.copy()
-    for i in range(m):
-        halves = covered.reshape(rows, -1, 2, 1 << i)
-        halves[:, :, 1, :] |= halves[:, :, 0, :]
-    # covered[:, ::-1][X] is covered[full ^ X]
-    hits = np.flatnonzero((bad & covered[:, ::-1]).any(axis=1))
-    return int(hits[0]) if len(hits) else -1
+    if m <= 2 * f:
+        return 0 if (~fprime & ((1 << m) - 1)).bit_count() >= 2 else -1
+    return _closure_violated(out_bits, m, fprime, f)
+
+
+def _closure_violated(out_bits, m: int, fprime: int, f: int) -> int:
+    """``_lcr_split_violated`` by closures, for any m and f.
+
+    The bad sets whose heads lie in a fixed head set H are closed under
+    union and intersection, and the least one holding a node x outside F'
+    is the closure cl_H(x): x, every in-neighbour outside H of each member
+    outside F', and so on.  Every bad set contains such a closure (its own
+    heads, padded to min(f, m) nodes, and any x of P - F'), so the
+    inclusion-minimal bad sets are closures, and a split graph violates
+    exactly when two closures are disjoint.  Cost: C(m, f) * m closures,
+    m Warshall steps over them, and a pair test over the distinct ones;
+    polynomial in m for fixed f."""
+    seeds = [v for v in range(m) if not fprime >> v & 1]
+    if not seeds:
+        return -1
+    outs = np.asarray(out_bits, dtype=np.int64)
+    cl = _closures(outs, m, fprime, (1 << m) - 1, min(f, m))[:, :, seeds]
+    return _first_disjoint_row(cl.reshape(len(outs), -1), (1 << m) - 1)
 
 
 def _ab_split_violated(out_bits: list[int], m: int, fprime: int, f: int) -> int:
@@ -471,11 +437,11 @@ def _pareto_minimal(pairs) -> list[tuple[int, int]]:
     return kept
 
 
-def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int]):
+def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int], f: int):
     """Yield batches of out-mask rows (lists of m ints) that decide whether
     some split graph of ``layout`` whose assignment counter agrees with
-    ``fixed`` (slot index -> copy) has a violating partition.  ``groups``
-    is ``_slot_groups(layout)``.
+    ``fixed`` (slot index -> copy) has a violating partition at f.
+    ``groups`` is ``_slot_groups(layout)``.
 
     Both violations are monotone in arcs: removing arcs from a split graph
     only removes heads and disjoint paths, so a violating partition stays
@@ -483,12 +449,13 @@ def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int]):
     below another exactly when each node's (copy-0, copy-1) pair does, and
     it is enough to run the detector on the product of every split node's
     Pareto-minimal pairs (``_node_rows``, then ``_pareto_minimal``).  A batch
-    fills at most ``_BATCH_CELLS`` table cells (always at least one row),
-    so a layout whose rows fit is one batch.
+    fills at most ``_BATCH_CELLS`` closure cells, C(m, f) * m per row
+    (always at least one row), so a layout whose rows fit is one batch.
     """
+    m = layout.m
     tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
     combos = itertools.product(*tables)
-    step = max(1, _BATCH_CELLS >> layout.m)
+    step = max(1, _BATCH_CELLS // (math.comb(m, min(f, m)) * m or 1))
     while batch := list(itertools.islice(combos, step)):
         rows = []
         for combo in batch:
@@ -522,7 +489,7 @@ def _first_lcr_labelling(out, fprime: int, bits, f: int) -> tuple[int, int, int,
     digit stays when some completion of the prefix still violates.  With the
     labelled nodes forced onto L, C and R, that holds exactly when some head
     sets H1, H2 and nodes x, y outside F' give closures
-    A = cl_H1(L u {x}) and B = cl_H2(R u {y}) (see ``_lcr_split_violated``)
+    A = cl_H1(L u {x}) and B = cl_H2(R u {y}) (see ``_closure_violated``)
     that are disjoint, A avoids C u R and B avoids C u L: A and B are then
     the least bad sets on each side.  A closure of a set is the union of its
     members' closures, so a test is one pair test.  The last pair found
@@ -651,9 +618,8 @@ def _scan_fault_set(
     ``want_witness`` off, a violated fault set returns ``(False, 0, 0,
     None)`` at the first violating batch.
 
-    An LCR split graph that neither detector path admits (more than
-    ``MAX_LCR_NODES`` nodes and more than ``MAX_CLOSURE_PAIRS`` closure
-    pairs) raises ``ValueError`` before any row of its split set is built,
+    An LCR split graph of m > 2f nodes with more than ``MAX_CLOSURE_PAIRS``
+    closure pairs raises ``ValueError`` before any row of its split set is built,
     and so does a split node with more than ``MAX_SPLIT_PAIRS`` distinct
     pairs.
     """
@@ -664,7 +630,7 @@ def _scan_fault_set(
     def violated(layout: SplitLayout, groups, fixed: dict[int, int]) -> bool:
         return any(
             detect(rows, layout.m, layout.fprime, f) >= 0
-            for rows in _light_splits(layout, groups, fixed)
+            for rows in _light_splits(layout, groups, fixed, f)
         )
 
     splits = partitions = 0

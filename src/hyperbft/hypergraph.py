@@ -118,6 +118,15 @@ class DirectedHypergraph:
         if any(v < 0 or v >= self.n for v in self.nodes):
             raise ValueError("node ids must lie in [0, n)")
 
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # the frozen dataclass's own field hash, which walks every edge;
+        # engines are cached by graph, so it is computed once per graph
+        return hash((self.n, self.edges, self.nodes))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -36,6 +36,7 @@ list, where the library fills a table one trail length at a time.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -275,7 +276,7 @@ def first_violation_rebuilding(g: DirectedHypergraph, fset, f: int, condition: s
     raise AssertionError("no violating split graph")
 
 
-def light_splits_ordered(layout):
+def light_splits_ordered(layout, f: int):
     """Yield (counters, rows) batches that together hold one representative
     of every copy-swap class of the split graphs of ``layout``, by counter.
 
@@ -284,7 +285,7 @@ def light_splits_ordered(layout):
     split set's ``enumerate_lambda`` range), ascending.  Every split node's
     highest-id slot stays on copy 0, which keeps the least counter of every
     copy-swap class.  A batch fills at most ``conditions._BATCH_CELLS``
-    detector cells (always at least one row).
+    closure cells at f, C(m, f) * m per row (always at least one row).
     """
     # copy-0 bit -> that node's highest-id slot (slots ascend by id: the last one wins)
     highest = {b0: j for j, (_, b0, _, _) in enumerate(layout.slots)}
@@ -296,7 +297,8 @@ def light_splits_ordered(layout):
         else:
             free.append(j)
     total = 1 << len(free)
-    step = max(1, conditions._BATCH_CELLS >> layout.m)
+    m = layout.m
+    step = max(1, conditions._BATCH_CELLS // (math.comb(m, min(f, m)) * m or 1))
     base = np.array(static, dtype=np.int64)
     for lo in range(0, total, step):
         light = np.arange(lo, min(lo + step, total), dtype=np.int64)
@@ -327,7 +329,7 @@ def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
     for x in split_sets(fset):
         layout = split_layout(g, fset, x)
         m = layout.m
-        for counters, rows in light_splits_ordered(layout):
+        for counters, rows in light_splits_ordered(layout, f):
             hit = detect(rows.tolist(), m, layout.fprime, f)
             if hit < 0:
                 continue

@@ -264,8 +264,8 @@ def test_cli_reports_are_reproducible(runner, tmp_path) -> None:
 
 
 def test_check_oversized_split_graph_exits_one(runner, tmp_path) -> None:
-    # past the table's node limit, the 30-ring is decided by closures at f=0
-    # and refused at f=3, where the closure pairs pass their limit too
+    # the 30-ring is decided at f=0 and refused at f=3, where its
+    # C(30, 3) * 30 closures pass the closure-pair limit
     ring = write_fixture(tmp_path, "ring30.hg", serialize_topology(cycle_local_broadcast(30)))
     assert invoke(runner, "check", ring, "--f", "0").exit_code == 0
     res = invoke(runner, "check", ring, "--f", "3")

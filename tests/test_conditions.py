@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -12,15 +13,15 @@ from hyperbft import conditions
 from hyperbft.conditions import (
     AB,
     LCR,
-    MAX_LCR_NODES,
+    MAX_CLOSURE_PAIRS,
     MAX_SPLIT_PAIRS,
     _SQUARING_CELLS,
     _check,
+    _closure_violated,
     _closures,
     _first_lcr_labelling,
     _head_sets,
     _lcr_split_violated,
-    _lcr_uses_closures,
     _light_splits,
     _node_rows,
     _partition_base,
@@ -159,6 +160,14 @@ def test_parameterized_fault_set_check() -> None:
     assert verify_witness(g3, 1, violation3)
 
 
+def test_empty_graph_holds() -> None:
+    # its one split graph has no nodes, so no closure cells: still one batch
+    g = DirectedHypergraph(0, ())
+    for f in (0, 1):
+        assert check_lcr_hyper(g, f) == check_per_fault_set(g, f, LCR)
+        assert check_lcr_hyper(g, f).holds and check_ab_hyper(g, f).holds
+
+
 def test_monotone_in_fault_budget() -> None:
     # a harder budget can only break feasibility, never restore it
     for n in (3, 4):
@@ -170,13 +179,17 @@ def test_monotone_in_fault_budget() -> None:
 @st.composite
 def detector_batches(draw):
     """(rows, m, fprime, f): 1-40 random out-mask rows over m = 1..10 nodes,
-    with f from 0 to past m and F' often empty or full.  Each row keeps
-    every arc with its own probability, so one batch mixes sparse rows
-    (often violating) with dense ones (rarely violating) and both verdicts
-    occur, for whole batches and for single rows."""
+    with f small (m > 2f, the closures decide) or from m/2 to past m
+    (m <= 2f, the closed form decides), and F' often empty or full.  Each
+    row keeps every arc with its own probability, so one batch mixes sparse
+    rows (often violating) with dense ones (rarely violating) and both
+    verdicts occur, for whole batches and for single rows."""
     m = draw(st.integers(min_value=1, max_value=10))
     f = draw(
-        st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=m, max_value=m + 1))
+        st.one_of(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=(m + 1) // 2, max_value=m + 1),
+        )
     )
     full = (1 << m) - 1
     fprime = draw(st.one_of(st.sampled_from((0, full)), st.integers(min_value=0, max_value=full)))
@@ -194,19 +207,39 @@ def detector_batches(draw):
 @settings(max_examples=150, deadline=None)
 @given(detector_batches())
 def test_batched_lcr_detector_matches_loop_oracle(case) -> None:
-    """The detector as dispatched, and forced onto its closure path or its
-    table path, gives the index of the loop oracle's first violating row,
-    for the whole batch and for every row alone."""
+    """The detector, and its closure helper on every m, give the index of
+    the loop oracle's first violating row, for the whole batch and for
+    every row alone."""
     rows, m, fprime, f = case
     expected = [lcr_split_violated_loop(row, m, fprime, f) for row in rows]
     first = expected.index(True) if any(expected) else -1
-    for closures in (None, True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            if closures is not None:
-                mp.setattr(conditions, "_lcr_uses_closures", lambda rows, m, f: closures)
-            assert _lcr_split_violated(rows, m, fprime, f) == first
-            for row, want in zip(rows, expected):
-                assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
+    for detect in (_lcr_split_violated, _closure_violated):
+        assert detect(rows, m, fprime, f) == first
+        for row, want in zip(rows, expected):
+            assert detect([row], m, fprime, f) == (0 if want else -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(min_value=1, max_value=min(2 * f, 12)))
+    ),
+    st.sampled_from(("empty", "full", "random")),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_closed_form_matches_loop_oracle(fm, fault_copies, seed) -> None:
+    """At m <= 2f a split graph violates exactly when two of its nodes lie
+    outside F', whatever its arcs: the detector's closed form agrees with
+    the loop oracle on random rows, with F' empty, full or random."""
+    f, m = fm
+    rng = random.Random(seed)
+    full = (1 << m) - 1
+    fprime = {"empty": 0, "full": full, "random": rng.randrange(1 << m)}[fault_copies]
+    density = rng.choice((0.0, 0.2, 0.5, 0.9, 1.0))
+    row = [sum(1 << v for v in range(m) if v != u and rng.random() < density) for u in range(m)]
+    want = lcr_split_violated_loop(row, m, fprime, f)
+    assert want == ((full & ~fprime).bit_count() >= 2)
+    assert _lcr_split_violated([row], m, fprime, f) == (0 if want else -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,21 +259,6 @@ def test_squared_and_warshall_closures_match_the_search_oracle(case, seed) -> No
         repeated = _closures(np.array([row] * repeats, dtype=np.int64), m, fprime, universe, k)
         assert alone[0].tolist() == want
         assert all(cl.tolist() == want for cl in repeated)
-
-
-def test_detector_dispatch_follows_the_measured_costs() -> None:
-    """Single rows take the closure path from small m on at f <= 2; large
-    batches of small split graphs, and f large for m, keep the table; past
-    the table's node limit only the closure path is left, and past both
-    limits m is refused."""
-    assert _lcr_uses_closures(1, 5, 1) and _lcr_uses_closures(1, 13, 1)
-    assert _lcr_uses_closures(1, 9, 2) and _lcr_uses_closures(32, 11, 2)
-    assert not _lcr_uses_closures(64, 6, 1) and not _lcr_uses_closures(64, 9, 2)
-    assert not _lcr_uses_closures(1, 14, 3) and _lcr_uses_closures(1, 16, 3)
-    assert not _lcr_uses_closures(1, 14, 7)
-    assert _lcr_uses_closures(1, MAX_LCR_NODES + 1, 2)
-    with pytest.raises(ValueError, match="split graph has 30 nodes"):
-        _lcr_split_violated([[0] * 30], 30, 0, 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,12 +291,14 @@ def test_prefix_search_matches_the_labelling_scan(m, f, seed) -> None:
 
 
 def test_oversized_split_graph_is_refused_before_allocating() -> None:
-    """The 30-ring is past the table's node limit.  At f=0 its closure
-    pairs fit and it is decided; at f=3 they do not (C(30, 3) * 30 closures)
-    and it is refused before any large allocation."""
-    assert MAX_LCR_NODES < 30
+    """The 30-ring at f=0 has 30 closures and is decided; at f=3 its
+    C(30, 3) * 30 closures pass the closure-pair limit, and it is refused
+    before any large allocation, as is the detector called on such a row."""
+    assert (math.comb(30, 3) * 30) ** 2 > MAX_CLOSURE_PAIRS
     g = cycle_local_broadcast(30)
     assert check_lcr_hyper(g, 0).holds
+    with pytest.raises(ValueError, match="split graph has 30 nodes"):
+        _lcr_split_violated([[0] * 30], 30, 0, 3)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="split graph has 30 nodes"):
@@ -302,16 +322,15 @@ def test_witness_past_the_closure_limit_is_refused(monkeypatch) -> None:
 
 def test_oversized_split_set_is_refused_before_its_rows(monkeypatch) -> None:
     """complete_p2p(8) plus 22 channels of node 0 with distinct two- and
-    three-node tails holds unsplit at f=1; splitting node 0 passes the node
-    limit and a closure-pair limit of 80 (81^2 pairs at m = 9), which is refused
-    before the DP builds its millions of pairs."""
+    three-node tails holds unsplit at f=1 (64^2 closure pairs at m = 8);
+    splitting node 0 passes a closure-pair limit of 64^2 (81^2 pairs at
+    m = 9), which is refused before the DP builds its millions of pairs."""
     tails = [t for k in (2, 3) for t in itertools.combinations(range(1, 8), k)][:22]
     base = complete_p2p(8)
     g = DirectedHypergraph.from_edge_tuples(
         8, [(e.head, tuple(e.tails)) for e in base.edges] + [(0, t) for t in tails]
     )
-    monkeypatch.setattr(conditions, "MAX_LCR_NODES", 8)
-    monkeypatch.setattr(conditions, "MAX_CLOSURE_PAIRS", 80)
+    monkeypatch.setattr(conditions, "MAX_CLOSURE_PAIRS", 64 * 64)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="split graph has 9 nodes"):
@@ -468,9 +487,9 @@ def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
                 grown.append(list(row))
                 grown[-1][b0], grown[-1][b1] = a, b
         distinct = grown
-    ordered = {tuple(r) for _, rows in light_splits_ordered(layout) for r in rows.tolist()}
+    ordered = {tuple(r) for _, rows in light_splits_ordered(layout, k) for r in rows.tolist()}
     assert {tuple(r) for r in distinct} == ordered
-    minimal = [tuple(r) for rows in _light_splits(layout, groups, fixed) for r in rows]
+    minimal = [tuple(r) for rows in _light_splits(layout, groups, fixed, k) for r in rows]
     assert set(minimal) <= ordered
     assert all(_rows_below(row, minimal) for row in ordered)
     assert all(not _rows_below(row, [low for low in minimal if low != row]) for row in minimal)

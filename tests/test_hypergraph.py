@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +82,22 @@ def test_induced_keeps_edge_ids() -> None:
     for e in h.edges:
         orig = g.edge_by_id[e.id]
         assert e.head == orig.head and e.tails <= orig.tails
+
+
+def test_hash_is_the_field_hash_and_survives_pickling() -> None:
+    """The cached hash equals the dataclass field hash, so equal graphs
+    built apart hash equal, and a graph passed between processes (pickled,
+    with or without its hash computed) hashes and compares equal too."""
+    g = complete_p2p(5)
+    same = DirectedHypergraph.from_edge_list(5, [(e.id, e.head, e.tails) for e in g.edges])
+    assert same == g and same is not g
+    assert hash(same) == hash(g) == hash((g.n, g.edges, g.nodes))
+    for graph in (complete_p2p(5), g):   # unhashed, and with its hash cached
+        reloaded = pickle.loads(pickle.dumps(graph))
+        assert reloaded == g
+        assert hash(reloaded) == hash(g)
+    assert {g: 1}[same] == 1
+    assert complete_p2p(5).induced({0, 1, 2, 3}) != g
 
 
 def test_source_components_of_cycle_plus_sink() -> None:

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperbft.conditions import MAX_LCR_NODES, check_lcr_hyper
+from hyperbft.conditions import (
+    LCR,
+    MAX_CLOSURE_PAIRS,
+    check_lcr_hyper,
+    check_with_fault_set,
+    verify_witness,
+)
 from hyperbft.generators import (
     all_local_broadcast_graphs,
     all_p2p_graphs,
@@ -87,9 +95,9 @@ def test_undirected_cross_validation_at_two_faults() -> None:
 
 
 def test_reduced_check_refuses_an_oversized_graph() -> None:
-    """The 30-ring is past the table's node limit: decided by closures at
-    f=0, refused at f=3, where the closure pairs pass their limit too."""
-    assert MAX_LCR_NODES < 30
+    """The 30-ring is decided at f=0 (30 closures) and refused at f=3,
+    where its C(30, 3) * 30 closures pass the closure-pair limit."""
+    assert (math.comb(30, 3) * 30) ** 2 > MAX_CLOSURE_PAIRS
     assert check_lcr_local(cycle_local_broadcast(30), 0).holds
     with pytest.raises(ValueError, match="split graph has 30 nodes"):
         check_lcr_local(cycle_local_broadcast(30), 3)
@@ -124,9 +132,9 @@ def test_hub_graph_witness_index(n, partitions) -> None:
 
 
 def test_witness_with_many_head_sets() -> None:
-    """complete_p2p(14) at f=7 violates at F = {} (n <= 2f).  The table
-    decides it, and the witness search over C(14, 7) * 14 = 48,048 closures
-    finds the product-order scan's labelling, index 3^7 - 1."""
+    """complete_p2p(14) at f=7 violates at F = {} (n <= 2f).  The detector's
+    closed form decides it, and the witness search over C(14, 7) * 14 =
+    48,048 closures finds the product-order scan's labelling, index 3^7 - 1."""
     g = complete_p2p(14)
     for check in (check_lcr_p2p, check_lcr_hyper):
         report = check(g, 7)
@@ -136,11 +144,26 @@ def test_witness_with_many_head_sets() -> None:
 
 
 def test_long_rings_are_decided_at_one_fault() -> None:
-    # 41-node split graphs: past the table's node limit, decided by closures
+    # split graphs of up to 41 nodes, decided by closures (C(41, 1) * 41 of them)
     g = cycle_local_broadcast(40)
     assert check_lcr_hyper(g, 1).holds
     assert check_lcr_local(g, 1).holds
     assert theorem_local_classic(g, 1)
+
+
+def test_25_ring_is_decided_at_three_faults() -> None:
+    """The 25-ring's split graphs at f=3 hold up to C(25, 3) * 25 = 57,500
+    closures, under the closure-pair limit: both checks find the violation
+    the closed form predicts, and the witness of the fault-free split set
+    passes the raw re-verification."""
+    g = cycle_local_broadcast(25)
+    assert (math.comb(25, 3) * 25) ** 2 <= MAX_CLOSURE_PAIRS
+    assert not theorem_local_classic(g, 3)
+    assert not check_lcr_local(g, 3).holds
+    assert not check_lcr_hyper(g, 3).holds
+    holds, violation = check_with_fault_set(g, set(), 3, LCR)
+    assert not holds
+    assert verify_witness(g, 3, violation)
 
 
 def test_cross_validation_rejects_wrong_class() -> None:
