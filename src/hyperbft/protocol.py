@@ -17,6 +17,9 @@ then lexicographic order).  Each phase:
 (f) every remaining node adopts a value received identically along f+1
     node-disjoint paths from S in G - F.
 
+Only step (f) reads the flood of step (e), so a phase with no node outside
+S and F skips that flood: nobody would receive it.
+
 Flooding is modeled exactly: a record is a simple trail (origin; e1...ek)
 whose value is transformed at every hop by the transmitting node - honestly
 for non-faulty nodes, by the adversary's rule for faulty ones.  A missing
@@ -325,8 +328,9 @@ def flood_records(
 ) -> np.ndarray:
     """Evaluate one flood: the value of every trail record.
 
-    ``gamma[v]`` is the state node v would honestly originate; only nodes in
-    ``seeds`` originate anything.  The nodes in ``faulty`` all follow the one
+    ``gamma`` holds, in node id order, the state each node would honestly
+    originate (a sequence of n ints); only nodes in ``seeds`` originate
+    anything.  The nodes in ``faulty`` all follow the one
     ``adversary`` (none: everybody is honest).  Returns an int16 array indexed
     by trail id, ABSENT for records that never materialize.
 
@@ -337,7 +341,7 @@ def flood_records(
     ``tmask``, so an adversary needs an ungrouped universe).
     """
     g = tu.g
-    garr = np.array([gamma[v] for v in range(g.n)], dtype=np.int16)
+    garr = np.asarray(gamma, dtype=np.int16)
     seeded = np.zeros(g.n, dtype=bool)
     seeded[list(seeds)] = True
     states = np.where(seeded, garr, np.int16(ABSENT))
@@ -524,13 +528,17 @@ class Engine:
     """Shared per-graph simulator state.
 
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
-    (phase, split, Z, N), and holds the flood tables of the current (fault
-    set, adversary) (``_flood``); clearing it empties all three.  The tables
-    take two int8 entries per trail and kept seed set, at most
-    ``MAX_FLOOD_TABLE_BYTES`` in all, and a run with another fault set or
-    adversary replaces them."""
+    (phase, split, Z, N), holds the flood tables of the current (fault set,
+    adversary) (``_flood``), and the one instance of each library adversary
+    a run has named; clearing it empties all four.  The tables take two int8
+    entries per trail and kept seed set, at most ``MAX_FLOOD_TABLE_BYTES`` in
+    all, and a run with another fault set or adversary replaces them.  A
+    phase floods at most two seed sets: S u N(F, S) for step (b), and S for
+    step (e) only when step (f) has a node to update."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
+        if f < 0:
+            raise ValueError(f"f must be a non-negative integer, got {f}")
         if g.nodes != frozenset(range(g.n)):
             raise ValueError("the simulator needs node ids 0..n-1")
         if g.n + 2 * f > _MASK_BITS:
@@ -567,9 +575,13 @@ class Engine:
         split-graph bits of the kept trails are thus one renaming of their
         base bits, which keeps every intersection as it is."""
         vbit = 1 << self.g.bit_of[v]
-        # step (c): slot j of the layout goes to copy 0 exactly when v traced a 0 through it
-        side = [0 if tid is not None and vals_b[tid] == 0 else 1 for tid in ph.cpath_f[v]]
-        sides = sum(s << j for j, s in enumerate(side))
+        # step (c): slot j of the layout goes to copy 0 exactly when v traced
+        # a 0 through it; a phase with no fault channel has no slot
+        side: list[int] = []
+        sides = 0
+        if ph.cpath_f[v]:
+            side = [0 if tid is not None and vals_b[tid] == 0 else 1 for tid in ph.cpath_f[v]]
+            sides = sum(s << j for j, s in enumerate(side))
         # copy 0 of a helper node starts in Z, copy 1 in N
         zmask, nmask = ph.nfs_mask, ph.nfs_copy1
         if own_gamma == 0:
@@ -597,9 +609,11 @@ class Engine:
         # v is on the adopting side: look for f+1 disjoint paths from A.
         # Origins lie in S u N(F, S), and A's bits outside S are N(F, S)'s
         # own or its fault copies; a helper that did not transmit reads need_side.
+        # With N(F, S) empty there is no helper to filter by.
         cand = ph.cand_d[v]
-        on_side = np.array(side + [need_side])[cand.sent] == need_side
-        ok = ((cand.origin_bits & (amask | ph.nfs_mask)) != 0) & on_side.all(axis=0)
+        ok = (cand.origin_bits & (amask | ph.nfs_mask)) != 0
+        if len(cand.sent):
+            ok &= (np.array(side + [need_side])[cand.sent] == need_side).all(axis=0)
         return self._adopt(own_gamma, cand, vals_b, ok)
 
     def node_step_f(self, ph: PhaseData, v: int, own_gamma: int, vals_e: np.ndarray) -> int:
@@ -683,10 +697,12 @@ class Engine:
         vals_b = self._flood(ph.seeds_b, gamma, faulty, adversary)
         for v in sorted(ph.source):
             new_gamma[v] = self.node_step_cd(ph, v, gamma[v], vals_b)
-        # step (e)+(f): S floods its updated state, the rest adopts
-        vals_e = self._flood(ph.source, tuple(new_gamma), faulty, adversary)
-        for v in ph.updaters_f:
-            new_gamma[v] = self.node_step_f(ph, v, gamma[v], vals_e)
+        # step (e)+(f): S floods its updated state, the rest adopts; only
+        # step (f) reads that flood, so with no node outside S and F it is skipped
+        if ph.updaters_f:
+            vals_e = self._flood(ph.source, tuple(new_gamma), faulty, adversary)
+            for v in ph.updaters_f:
+                new_gamma[v] = self.node_step_f(ph, v, gamma[v], vals_e)
         return tuple(new_gamma)
 
     # -- full runs ----------------------------------------------------------
@@ -698,11 +714,23 @@ class Engine:
         adversary: str | Adversary = "honest",
     ) -> RunResult:
         fstar = frozenset(faulty)
+        unknown = fstar - self.g.nodes
+        if unknown:
+            raise ValueError(f"faulty ids {sorted(unknown)} are not nodes of the graph")
         if len(fstar) > self.f:
             raise ValueError(f"|faulty| = {len(fstar)} exceeds f = {self.f}")
-        adv = make_adversary(adversary) if isinstance(adversary, str) else adversary
+        try:
+            gamma = tuple(map(inputs.__getitem__, range(self.g.n)))
+        except KeyError:
+            missing = sorted(set(range(self.g.n)) - inputs.keys())
+            raise ValueError(f"missing inputs for nodes {missing}") from None
+        adv = adversary
+        if isinstance(adversary, str):
+            # a library rule holds no state: one instance serves every run
+            adv = self._cache.get(("adversary", adversary))
+            if adv is None:
+                adv = self._cache["adversary", adversary] = make_adversary(adversary)
         fkey = (tuple(sorted(fstar)), adv.key)
-        gamma = tuple(inputs[v] for v in range(self.g.n))
         if fstar and not adv.follows_protocol and not set(gamma) <= {0, 1}:
             # an adversary's forward map is defined on bits only
             raise ValueError("inputs must be bits when faulty nodes deviate")

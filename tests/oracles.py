@@ -31,6 +31,9 @@ the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
 ``edge_used_reference`` reads each node's channel off every trail's channel
 list, where the library fills a table one trail length at a time.
+``run_reference`` is a whole run built from ``flood_records`` and
+``node_steps_reference`` alone, where the engine memoizes phases, reads
+floods off tables and skips the relay flood when step (f) has no node.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ from hyperbft import conditions
 from hyperbft.formats import canonical_json
 from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
-from hyperbft.protocol import ABSENT, TrailUniverse, flood_records, get_engine
+from hyperbft.protocol import (
+    ABSENT,
+    PhaseOutcome,
+    RunResult,
+    TrailUniverse,
+    flood_records,
+    get_engine,
+    make_adversary,
+)
 from hyperbft.splitting import (
     SplitLayout,
     SplitSpec,
@@ -669,6 +680,59 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
         moved = np.int64((1 << bit[u]) | (1 << copy1[bit[u]]))
         masks_all = np.where(used_sides == 1, masks_all ^ moved, masks_all)
     return adopt(cand, ok_origin & ok_sides, masks_all)
+
+
+def run_reference(engine, faulty, inputs: dict[int, int], adversary) -> RunResult:
+    """``engine.run(faulty, inputs, adversary)`` with no phase memo, no
+    flood table and no skipped flood: every phase that has a source
+    component S floods both its seed sets, S u N(F, S) and then S, with
+    ``flood_records``, and steps every node outside F with
+    ``node_steps_reference``.  Only the phases' fault sets and source
+    components are read off the engine."""
+    g, f = engine.g, engine.f
+    adv = make_adversary(adversary) if isinstance(adversary, str) else adversary
+    fstar = frozenset(faulty)
+    honest = [v for v in range(g.n) if v not in fstar]
+    gamma = [inputs[v] for v in range(g.n)]
+    start_states = {gamma[v] for v in honest}
+    phases = []
+    for ph in engine.phases:
+        before = {gamma[v] for v in honest}
+        new = list(gamma)
+        agreement = None
+        if ph.source is not None:
+            seeds_b = set(ph.source) | _neighborhood(g, ph.fault_set, ph.source)
+            vals_b = flood_records(engine.tu, seeds_b, gamma, fstar, adv)
+            for v in sorted(ph.source):
+                new[v] = node_steps_reference(engine, ph, v, gamma[v], vals_b)
+            vals_e = flood_records(engine.tu, ph.source, new, fstar, adv)
+            for v in sorted(g.nodes - ph.source - ph.fault_set):
+                new[v] = node_steps_reference(engine, ph, v, gamma[v], vals_e)
+            if ph.fault_set == fstar:
+                agreement = len({new[v] for v in honest}) <= 1
+        phases.append(PhaseOutcome(
+            tuple(sorted(ph.fault_set)),
+            ph.source is None,
+            all(new[v] in before for v in honest),
+            agreement,
+            tuple(new),
+        ))
+        gamma = new
+    outputs = {v: gamma[v] for v in honest}
+    out_vals = set(outputs.values())
+    return RunResult(
+        f=f,
+        faulty=tuple(sorted(fstar)),
+        adversary=adv.name,
+        inputs=tuple(sorted(inputs.items())),
+        outputs=tuple(sorted(outputs.items())),
+        terminated=len(phases) == len(list(_subsets_upto(g.nodes, f))) and out_vals <= {0, 1},
+        agreement=len(out_vals) <= 1,
+        validity=out_vals <= start_states,
+        phase_validity_ok=all(p.state_sources_ok for p in phases),
+        exact_phase_agreement_ok=all(p.agreement_reached is not False for p in phases),
+        phases=tuple(phases),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperbft import protocol
-from hyperbft.formats import canonical_json
+from hyperbft.formats import canonical_json, parse_topology
 from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
@@ -34,7 +34,12 @@ from hyperbft.protocol import (
     sweep_scenarios,
 )
 
-from oracles import edge_used_reference, flood_records_layered, node_steps_reference
+from oracles import (
+    edge_used_reference,
+    flood_records_layered,
+    node_steps_reference,
+    run_reference,
+)
 
 
 class SwapSilencer(Adversary):
@@ -300,6 +305,86 @@ def test_node_steps_match_the_reference(n, m, f, seed) -> None:
                 step = engine.node_step_cd if v in ph.source else engine.node_step_f
                 want = node_steps_reference(engine, ph, v, own_gamma, vals)
                 assert step(ph, v, own_gamma, vals) == want, (ph.fault_set, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+    st.data(),
+)
+def test_runs_match_the_whole_run_reference(n, m, f, seed, data) -> None:
+    """Whole runs equal ``run_reference``, which floods both seed sets of
+    every phase and steps each node from first principles, for every
+    library adversary, a pinned split persona and a custom rule.  Three
+    inputs per adversary on one engine take the phase memo and the flood
+    tables through their first, second and later floods."""
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    engine = Engine(g, f)
+    faulty = data.draw(st.sets(st.integers(0, n - 1), max_size=f), label="faulty")
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(lambda b: dict(enumerate(b)))
+    pinned = {e.id: e.id % 2 for w in faulty for e in g.head_edges(w)}
+    for adv in [*ADVERSARY_NAMES, SplitPersonaAdversary(assignment=pinned), SwapSilencer()]:
+        for _ in range(3):
+            inputs = data.draw(bits, label="inputs")
+            want = run_reference(engine, faulty, inputs, adv)
+            assert engine.run(faulty, inputs, adv) == want, (adv, sorted(faulty), inputs)
+
+
+def test_relay_flood_runs_only_for_step_f_readers() -> None:
+    """Step (e)'s flood is read by step (f) alone: a phase with no node
+    outside S and F floods once, any other phase twice.  Node 3 hears
+    everyone and sends to node 0 alone, so with F = {0} it is outside S."""
+    g = parse_topology(
+        "hypergraph n=4\nedge 0 0 -> 1 2 3\nedge 1 1 -> 0 2 3\nedge 2 2 -> 0 1 3\nedge 3 3 -> 0"
+    )
+    engine = Engine(g, 1)
+    flooded = []
+    real_flood = engine._flood
+
+    def recording(seeds, gamma, faulty, adversary):
+        flooded.append(seeds)
+        return real_flood(seeds, gamma, faulty, adversary)
+
+    engine._flood = recording
+    engine.run([2], {0: 0, 1: 1, 2: 0, 3: 1}, "flip_forwarding")
+    want = []
+    for ph in engine.phases:
+        if ph.source is not None:
+            want += [ph.seeds_b] + ([ph.source] if ph.updaters_f else [])
+    assert flooded == want
+    assert [ph.updaters_f for ph in engine.phases] == [(), (3,), (), (), ()]
+
+
+def test_faulty_ids_outside_the_graph_are_refused() -> None:
+    g = complete_p2p(4)
+    inputs = {v: 0 for v in range(4)}
+    for adv in ("honest", "flip_forwarding"):
+        with pytest.raises(ValueError, match=r"faulty ids \[7\] are not nodes"):
+            run_scenario(g, 1, [7], inputs, adv)
+    with pytest.raises(ValueError, match=r"faulty ids \[-1, 4\] are not nodes"):
+        Engine(g, 2).run([4, -1], inputs, "silent")
+
+
+def test_missing_inputs_are_named() -> None:
+    engine = Engine(complete_p2p(4), 1)
+    with pytest.raises(ValueError, match=r"^missing inputs for nodes \[3\]$"):
+        engine.run([], {0: 1, 1: 0, 2: 1})
+    with pytest.raises(ValueError, match=r"^missing inputs for nodes \[0, 2\]$"):
+        engine.run([1], {1: 0, 3: 1}, "silent")
+
+
+def test_negative_f_is_refused_before_the_trail_universe(monkeypatch) -> None:
+    def no_universe(*args, **kwargs):
+        raise AssertionError("the trail universe was built")
+
+    monkeypatch.setattr(protocol, "TrailUniverse", no_universe)
+    with pytest.raises(ValueError, match="f must be a non-negative integer, got -1"):
+        Engine(complete_p2p(4), -1)
+    with pytest.raises(ValueError, match="got -2"):
+        run_scenario(complete_p2p(3), -2, [], {v: 0 for v in range(3)})
 
 
 def test_custom_adversary_runs_through_the_engine() -> None:
