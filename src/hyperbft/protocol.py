@@ -720,7 +720,7 @@ class Engine:
         if len(fstar) > self.f:
             raise ValueError(f"|faulty| = {len(fstar)} exceeds f = {self.f}")
         try:
-            gamma = tuple(map(inputs.__getitem__, range(self.g.n)))
+            gamma = tuple(inputs[v] for v in range(self.g.n))
         except KeyError:
             missing = sorted(set(range(self.g.n)) - inputs.keys())
             raise ValueError(f"missing inputs for nodes {missing}") from None
