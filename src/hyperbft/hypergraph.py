@@ -9,10 +9,9 @@ slots).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -298,70 +297,22 @@ class DirectedHypergraph:
     # -- decomposition -------------------------------------------------------
 
     @cached_property
-    def directed_decomposition(self) -> tuple[frozenset[int], ...]:
-        """Strongly connected components of the underlying digraph, ordered by
-        their smallest node id."""
-        order = self.node_order
-        bit = self.bit_of
-        out = self.out_union_masks
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        comps: list[frozenset[int]] = []
-        counter = itertools.count()
-
-        for root in order:
-            if root in index:
-                continue
-            work: list[tuple[int, Iterator[int]]] = [
-                (root, iter(self.nodes_of_mask(out[bit[root]])))
-            ]
-            index[root] = low[root] = next(counter)
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = next(counter)
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(self.nodes_of_mask(out[bit[w]]))))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    comp = set()
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                        if w == v:
-                            break
-                    comps.append(frozenset(comp))
-        comps.sort(key=min)
-        return tuple(comps)
-
-    @cached_property
     def source_components(self) -> tuple[frozenset[int], ...]:
-        """Components with no incoming underlying arc from outside."""
-        comps = self.directed_decomposition
+        """Strongly connected components of the underlying digraph with no
+        incoming arc from outside, ordered by their smallest node id.  A node
+        v lies in one exactly when v reaches every node that reaches it, and
+        the component is then the set of nodes that reach v."""
         bit = self.bit_of
-        inm = self.in_masks
         sources = []
-        for comp in comps:
-            cmask = self.mask_of(comp)
-            if all(inm[bit[v]] & ~cmask == 0 for v in comp):
-                sources.append(comp)
+        found = 0
+        for v in self.node_order:
+            vb = 1 << bit[v]
+            if found & vb:
+                continue
+            back = reach_closure_bits(self.in_masks, vb)
+            if not back & ~reach_closure_bits(self.out_union_masks, vb):
+                found |= back
+                sources.append(frozenset(self.nodes_of_mask(back)))
         return tuple(sources)
 
     # -- classification ------------------------------------------------------
@@ -390,3 +341,19 @@ class DirectedHypergraph:
             if all((v, group - {v}) in shapes for v in group):
                 found.add(group)
         return tuple(sorted(found, key=sorted))
+
+
+def reach_closure_bits(adj_bits: tuple[int, ...], start_mask: int, removed_mask: int = 0) -> int:
+    """All bit positions reachable from ``start_mask`` avoiding ``removed_mask``."""
+    reach = start_mask & ~removed_mask
+    frontier = reach
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            nxt |= adj_bits[low.bit_length() - 1]
+        frontier = nxt & ~removed_mask & ~reach
+        reach |= frontier
+    return reach

@@ -19,7 +19,11 @@ they output as in E1 (all zeros, by validity); honest R-side nodes mirror E2
 
 Carrier copies run the real consensus algorithm for the base graph; the
 carrier's channels keep the base channel ids, so a copy's reception log reads
-exactly like a log of the node it impersonates.
+exactly like a log of the node it impersonates.  A copy hears each base
+channel from one copy at most, so every record it receives is a trail of the
+base graph relayed by one chain of copies.  ``_run_carrier`` thus floods over
+the engine's trail universe: a table names, per copy and base trail, the copy
+that originated the record, and a flood is one gather of the seeded states.
 
 A reception log holds one entry per record the node received with a value,
 in each phase's two floods: ``"trace"`` (step (b), the traced flood from
@@ -39,7 +43,7 @@ import numpy as np
 
 from .conditions import Violation, check_lcr_hyper
 from .hypergraph import DirectedHypergraph
-from .protocol import ABSENT, TrailUniverse, flood_records, get_engine
+from .protocol import ABSENT, get_engine
 from .splitting import SplitHypergraph
 
 EXECUTIONS = (1, 2, 3)
@@ -282,63 +286,61 @@ def _int_list(xs) -> str:
 
 
 def _run_carrier(carrier: Carrier):
-    g = carrier.base
-    engine = get_engine(g, carrier.f)
-    tu_g = engine.tu
-    groups = {c.id: g.bit_of[c.base_node] for c in carrier.copies}
-    tu_c = TrailUniverse(carrier.graph, groups=groups)
+    engine = get_engine(carrier.base, carrier.f)
+    tu = engine.tu
     phases = [ph for ph in engine.phases if ph.source is not None]
-    if tu_c.size * len(phases) > MAX_CARRIER_RECORDS:
+    # A carrier trail is its last carrier channel plus a base trail ending on
+    # that channel's base channel, relayed back by one chain of copies.
+    copies = carrier.copies
+    base_edge = carrier.base_edge
+    per_channel = np.bincount(
+        np.fromiter(base_edge.values(), dtype=np.int64, count=len(base_edge)),
+        minlength=tu.max_edge_id + 1,
+    )
+    trails = int(per_channel[tu.edge].sum())
+    if trails * len(phases) > MAX_CARRIER_RECORDS:
         raise ValueError(
-            f"the carrier has {tu_c.size} trails over {len(phases)} phases; the harness "
+            f"the carrier has {trails} trails over {len(phases)} phases; the harness "
             f"renders at most {MAX_CARRIER_RECORDS} carrier trails x phases"
         )
 
-    # map every carrier record to the base record its receiver reads
-    base_edge = carrier.base_edge
-    copy_base = [c.base_node for c in carrier.copies]
-    gtid = np.empty(tu_c.size, dtype=np.int64)
-    for t, (o, trail) in enumerate(zip(tu_c.origin.tolist(), tu_c.trail_of)):
-        base_tid = tu_g.tid(copy_base[o], tuple(base_edge[e] for e in trail))
-        if base_tid is None:
-            raise AssertionError("carrier record does not collapse to a base record")
-        gtid[t] = base_tid
+    # feed[c, e]: the copy whose transmission on base channel e copy c hears,
+    # -1 for none; the last row is a sentinel of -1s, which index -1 reads.
+    feed = np.full((len(copies) + 1, tu.max_edge_id + 1), -1, dtype=np.int32)
+    for ce in carrier.graph.edges:
+        feed[list(ce.tails), base_edge[ce.id]] = ce.head
+    # origin[c, t]: the copy that originated the carrier record of base trail
+    # t that copy c receives, -1 for none: c's feed on the trail's last
+    # channel received the trail's parent from origin[feed, parent].
+    origin = np.empty((len(copies) + 1, tu.size), dtype=np.int32)
+    for lo, hi in tu.layers:
+        heard = feed[:, tu.edge[lo:hi]]
+        origin[:, lo:hi] = origin[heard, tu.parent[lo:hi]] if lo else heard
 
-    # per-copy scatter indices: carrier record -> base record slot
-    scatter: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for c in carrier.copies:
-        tids = tu_c.receives[c.id]
-        base_ids = gtid[tids]
-        if len(set(base_ids.tolist())) != len(base_ids):
-            raise AssertionError("two carrier records collapse to one base record")
-        scatter[c.id] = (tids, base_ids)
-
-    def collapse(cid: int, vals: np.ndarray) -> np.ndarray:
-        vec = np.full(tu_g.size, ABSENT, dtype=np.int16)
-        tids, base_ids = scatter[cid]
-        vec[base_ids] = vals[tids]
-        return vec
+    def flood(seeds: frozenset[int], states: list[int]) -> np.ndarray:
+        """Row c: every base trail's value as copy c receives it, ABSENT
+        where it receives none; the carrier is honest, so a record carries
+        its origin copy's state when that copy is seeded."""
+        seeded = [x if c.base_node in seeds else ABSENT for c, x in zip(copies, states)]
+        return np.array(seeded + [ABSENT], dtype=np.int16)[origin]
 
     # Reception logs, kept only for copies that serve an execution.  An
-    # entry's origin and trail are those of the base record it collapses to,
-    # so each base record's text and sort key are computed once, and each
-    # copy's records are put in (origin, trail) order once.
-    serving = [c.id for c in carrier.copies if c.serves]
-    origin_g = tu_g.origin.tolist()
-    used = sorted(
-        set(np.concatenate([scatter[cid][1] for cid in serving]).tolist()),
-        key=lambda b: (origin_g[b], tu_g.trail_of[b]),
-    )
-    rank = np.zeros(tu_g.size, dtype=np.int64)
-    rank[used] = np.arange(len(used))
+    # entry's origin and trail are those of its base trail, so each base
+    # trail's text and sort key are computed once, and each copy's trails
+    # are put in (origin, trail) order once.
+    serving = [c.id for c in copies if c.serves]
+    origin_g = tu.origin.tolist()
+    used = np.array(sorted(
+        np.flatnonzero((origin[serving] >= 0).any(axis=0)).tolist(),
+        key=lambda b: (origin_g[b], tu.trail_of[b]),
+    ), dtype=np.int64)
     record_text = {
-        b: f"{origin_g[b]},\n    {_int_list(tu_g.trail_of[b])},\n    " for b in used
+        b: f"{origin_g[b]},\n    {_int_list(tu.trail_of[b])},\n    " for b in used.tolist()
     }
     log_order: dict[int, tuple[np.ndarray, list[str]]] = {}
     for cid in serving:
-        tids, base_ids = scatter[cid]
-        order = np.argsort(rank[base_ids])
-        log_order[cid] = (tids[order], [record_text[b] for b in base_ids[order].tolist()])
+        tids = used[origin[cid, used] >= 0]
+        log_order[cid] = (tids, [record_text[b] for b in tids.tolist()])
     # per copy: (phase fault set, flood tag, rendered entries of that flood)
     chunks: dict[int, list[tuple[tuple[int, ...], str, str]]] = {cid: [] for cid in serving}
 
@@ -347,34 +349,26 @@ def _run_carrier(carrier: Carrier):
         sep = "\n  ],\n" + head
         for cid in serving:
             tids, texts = log_order[cid]
-            v = vals[tids]
+            v = vals[cid, tids]
             kept = np.flatnonzero(v != ABSENT).tolist()
             if kept:
                 body = sep.join([texts[i] + str(x) for i, x in zip(kept, v[kept].tolist())])
                 chunks[cid].append((phase_tag, flood_tag, head + body + "\n  ]"))
 
-    gamma = [c.input for c in carrier.copies]
+    gamma = [c.input for c in copies]
     for ph in phases:
         phase_tag = tuple(sorted(ph.fault_set))
-        seeds_b = frozenset(
-            c.id for c in carrier.copies if c.base_node in ph.seeds_b
-        )
-        vals_b = flood_records(tu_c, seeds_b, gamma)
+        vals_b = flood(ph.seeds_b, gamma)
         record_log(phase_tag, "trace", vals_b)
         new_gamma = list(gamma)
-        for c in carrier.copies:
+        for c in copies:
             if c.base_node in ph.source:
-                vec = collapse(c.id, vals_b)
-                new_gamma[c.id] = engine.node_step_cd(ph, c.base_node, gamma[c.id], vec)
-        seeds_e = frozenset(
-            c.id for c in carrier.copies if c.base_node in ph.source
-        )
-        vals_e = flood_records(tu_c, seeds_e, new_gamma)
+                new_gamma[c.id] = engine.node_step_cd(ph, c.base_node, gamma[c.id], vals_b[c.id])
+        vals_e = flood(ph.source, new_gamma)
         record_log(phase_tag, "relay", vals_e)
-        for c in carrier.copies:
+        for c in copies:
             if c.base_node not in ph.source and c.base_node not in ph.fault_set:
-                vec = collapse(c.id, vals_e)
-                new_gamma[c.id] = engine.node_step_f(ph, c.base_node, gamma[c.id], vec)
+                new_gamma[c.id] = engine.node_step_f(ph, c.base_node, gamma[c.id], vals_e[c.id])
         gamma = new_gamma
 
     log_bytes = {}

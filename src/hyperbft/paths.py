@@ -7,7 +7,7 @@ max-flow/min-cut correspondence for internally disjoint paths.
 
 from __future__ import annotations
 
-from .hypergraph import DirectedHypergraph
+from .hypergraph import DirectedHypergraph, reach_closure_bits
 
 
 def max_disjoint_paths_bits(
@@ -123,22 +123,6 @@ def max_disjoint_paths_bits(
             x = p
         flow += 1
     return flow
-
-
-def reach_closure_bits(adj_bits: tuple[int, ...], start_mask: int, removed_mask: int = 0) -> int:
-    """All bit positions reachable from ``start_mask`` avoiding ``removed_mask``."""
-    reach = start_mask & ~removed_mask
-    frontier = reach
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            m ^= low
-            nxt |= adj_bits[low.bit_length() - 1]
-        frontier = nxt & ~removed_mask & ~reach
-        reach |= frontier
-    return reach
 
 
 def propagates_bits(

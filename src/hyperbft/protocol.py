@@ -29,8 +29,9 @@ on {0, 1}, ``flood_records`` evaluates a flood in closed form (each trail's
 origin emission, mapped once per faulty forwarder).  A record's value thus
 depends only on its origin's state: an honest flood takes each origin's
 state along its trails, and with deviating nodes the engine tabulates both
-values of every trail per seed set from two closed-form floods, so each
-later flood is one ``take`` over the trails' origins and one ``where``.
+values of every trail per seed set from two closed-form floods, on all-0
+and all-1 states, so each flood is one ``take`` over the trails' origins
+and one ``where``.
 Repeated runs (sweeps over inputs, fault sets, and adversaries) are thus
 cheap.  Phase transitions are memoized on the full state vector, and step
 (d)'s propagation test on the split and the Z/N sorting.
@@ -192,18 +193,16 @@ class TrailUniverse:
     """Every forwarding trail of a graph, in BFS order (a trail's parent,
     the trail one channel shorter, comes first).
 
-    A trail is simple: no node transmits twice.  ``groups`` generalizes that
-    check — nodes sharing a group id exclude each other along one trail (used
-    when several carrier copies stand in for one underlying node and a
-    receiver would reject the collapsed duplicate).  ``tmask`` holds each
-    trail's transmitters as node bits, or as group bits with ``groups``.
-    A graph with more than ``MAX_TRAILS`` trails raises ValueError before
-    any trail is built (``_count_trails``)."""
+    A trail is simple: no node transmits twice.  ``tmask`` holds each
+    trail's transmitters as node bits.  The simulator and the necessity
+    harness's carrier both read this one universe.  A graph with more than
+    ``MAX_TRAILS`` trails raises ValueError before any trail is built
+    (``_count_trails``)."""
 
-    def __init__(self, g: DirectedHypergraph, groups: dict[int, int] | None = None):
-        bit = g.bit_of if groups is None else {v: groups[v] for v in g.node_order}
+    def __init__(self, g: DirectedHypergraph):
+        bit = g.bit_of
         tails_of = {e.id: e.sorted_tails() for e in g.edges}
-        if _count_trails(g, bit, tails_of) > MAX_TRAILS:
+        if _count_trails(g, tails_of) > MAX_TRAILS:
             raise ValueError(f"the graph has more than {MAX_TRAILS} simple trails")
         origins: list[int] = []
         parents: list[int] = []
@@ -247,7 +246,6 @@ class TrailUniverse:
             lo, hi = hi, len(origins)
 
         self.g = g
-        self.grouped = groups is not None
         self.size = len(origins)
         self.index = index
         self.layers = tuple(layers)     # (first, end) trail ids of each trail length
@@ -290,13 +288,14 @@ class TrailUniverse:
         return used
 
 
-def _count_trails(g: DirectedHypergraph, bit, tails_of) -> int:
+def _count_trails(g: DirectedHypergraph, tails_of) -> int:
     """The number of simple trails ``TrailUniverse`` would build, or some
     number past ``MAX_TRAILS``.  A trail extends by the same channels as any
     other trail with its last channel and its transmitters, so each layer is
     counted as (transmitter mask, last channel) states with multiplicities,
     one int key each, and counting stops once the total passes
     ``MAX_TRAILS``."""
+    bit = g.bit_of
     shift = max((e.id for e in g.edges), default=0).bit_length()
     layer = {(1 << bit[e.head]) << shift | e.id: 1 for e in g.edges}
     total = len(layer)
@@ -338,7 +337,7 @@ def flood_records(
     its trails.  Otherwise every channel's emission is looked up by each
     trail's first channel, then the adversary's forward map is applied k
     times, k being the number of faulty forwarders on the trail (told by
-    ``tmask``, so an adversary needs an ungrouped universe).
+    ``tmask``).
     """
     g = tu.g
     garr = np.asarray(gamma, dtype=np.int16)
@@ -347,8 +346,6 @@ def flood_records(
     states = np.where(seeded, garr, np.int16(ABSENT))
     if adversary is None or adversary.follows_protocol or not faulty:
         return states.take(tu.origin)
-    if tu.grouped:
-        raise ValueError("an adversary needs a trail universe without groups")
     heads = tu.edge_head
     emission = states.take(heads)
     bit = g.bit_of
@@ -651,13 +648,12 @@ class Engine:
         the records come back int8 when faulty nodes deviate.
 
         With deviating nodes a record's value is fixed by its origin's
-        state bit.  So the first flood of a seed set runs ``flood_records``
-        and is kept; the second also runs it on the first one's flipped
-        states, which gives both values of every trail, and tabulates them;
-        each later flood picks one table per trail by its origin's state.
-        Only the current (fault set, adversary) keeps its tables, and only
-        for the seed sets that fit in ``MAX_FLOOD_TABLE_BYTES``; the others
-        run ``flood_records`` on every flood."""
+        state bit.  So the first flood of a seed set tabulates both values of
+        every trail, from ``flood_records`` on all-0 and on all-1 states, and
+        every flood picks one table per trail by its origin's state.  Only
+        the current (fault set, adversary) keeps its tables, and only for the
+        seed sets that fit in ``MAX_FLOOD_TABLE_BYTES``; the others run
+        ``flood_records`` on every flood."""
         if adversary.follows_protocol or not faulty:
             return flood_records(self.tu, seeds, gamma)
         fkey = (faulty, adversary.key)
@@ -666,20 +662,12 @@ class Engine:
             current = self._cache["floods"] = (fkey, {})
         tables = current[1].get(seeds)
         if tables is None:
-            vals = flood_records(self.tu, seeds, gamma, faulty, adversary).astype(np.int8)
-            # keep it only if both tables of every kept seed set fit
-            if 2 * vals.nbytes * (len(current[1]) + 1) <= MAX_FLOOD_TABLE_BYTES:
-                current[1][seeds] = (gamma, vals)
-            return vals
-        if isinstance(tables, tuple):
-            # the second flood of a seed set: its first flood, and the flood
-            # of the first flood's flipped states, hold both values of every trail
-            first_gamma, first = tables
-            flipped = tuple(1 - b for b in first_gamma)
-            other = flood_records(self.tu, seeds, flipped, faulty, adversary).astype(np.int8)
-            was_one = (np.array(first_gamma) == 1).take(self.tu.origin)
+            # tabulate only if both tables of every kept seed set fit
+            if 2 * self.tu.size * (len(current[1]) + 1) > MAX_FLOOD_TABLE_BYTES:
+                return flood_records(self.tu, seeds, gamma, faulty, adversary).astype(np.int8)
             tables = current[1][seeds] = np.array(
-                [np.where(was_one, other, first), np.where(was_one, first, other)]
+                [flood_records(self.tu, seeds, (b,) * self.g.n, faulty, adversary) for b in (0, 1)],
+                dtype=np.int8,
             )
         ones = np.array(gamma) == 1
         return np.where(ones.take(self.tu.origin), tables[1], tables[0])
@@ -719,6 +707,9 @@ class Engine:
             raise ValueError(f"faulty ids {sorted(unknown)} are not nodes of the graph")
         if len(fstar) > self.f:
             raise ValueError(f"|faulty| = {len(fstar)} exceeds f = {self.f}")
+        for v in inputs:
+            if v not in self.g.nodes:
+                raise ValueError(f"input for unknown node {v}")
         try:
             gamma = tuple(inputs[v] for v in range(self.g.n))
         except KeyError:

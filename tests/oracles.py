@@ -10,8 +10,10 @@ detector and serves as its reference, and ``first_lcr_labelling_scan`` is
 the canonical (L, C, R) scan that walks every labelling in product order,
 where the library builds the first violating labelling digit by digit from
 closures.  ``carrier_logs`` is the plain form of
-the necessity harness's reception logs: it replays the carrier run and
-renders each copy's log as ``canonical_json`` of its sorted entries.
+the necessity harness's reception logs: it replays the carrier run over the
+carrier trails that ``carrier_trails`` finds by depth-first search, where the
+library reads them off the base graph's trails, and renders each copy's log
+as ``canonical_json`` of its sorted entries.
 ``max_disjoint_paths_network`` is the dict-of-dicts max-flow that the
 bitmask max-flow replaced, and ``flood_records_layered`` evaluates a flood
 one trail length at a time, applying the adversary's forward map at every
@@ -26,6 +28,9 @@ one split graph per copy swap, in counter order, where the library decides
 a split set on its distinct, Pareto-minimal rows and finds the least
 violating counter bit by bit; ``check_per_fault_set`` runs it once per
 fault set and sums the counters.
+``source_components_mutual_reach`` finds source components by a
+breadth-first search from every node, where the library grows bitmask
+closures.
 ``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
 the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
@@ -76,6 +81,30 @@ def _arc_sets(g: DirectedHypergraph) -> dict[int, set[int]]:
     for e in g.edges:
         out[e.head].update(e.tails)
     return out
+
+
+def source_components_mutual_reach(g: DirectedHypergraph) -> tuple[frozenset[int], ...]:
+    """The source components of g's underlying digraph from the definition:
+    the classes of mutual reachability, each found by a breadth-first search
+    from every node, that no arc enters from outside, ordered by their
+    smallest node."""
+    out = _arc_sets(g)
+
+    def reach(v: int) -> set[int]:
+        seen, queue = {v}, deque([v])
+        while queue:
+            for w in out[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    reaches = {v: reach(v) for v in g.nodes}
+    classes = {
+        frozenset(u for u in g.nodes if u in reaches[v] and v in reaches[u]) for v in g.nodes
+    }
+    entered = {c for c in classes for u in g.nodes - c if out[u] & c}
+    return tuple(sorted(classes - entered, key=min))
 
 
 def _all_simple_paths_to(
@@ -739,63 +768,76 @@ def run_reference(engine, faulty, inputs: dict[int, int], adversary) -> RunResul
 # necessity harness: reception logs
 
 
+def carrier_trails(carrier) -> list[tuple[int, tuple[int, ...]]]:
+    """Every trail of the carrier system as (origin copy, carrier channel
+    ids), found by depth-first search over ``carrier.graph``: a trail goes on
+    through any tail of its last channel whose base node has not transmitted
+    on it yet, so no base node transmits twice."""
+    by_head: dict[int, list] = {}
+    for e in carrier.graph.edges:
+        by_head.setdefault(e.head, []).append(e)
+    base_of = [c.base_node for c in carrier.copies]
+    found = []
+
+    def extend(origin: int, trail: tuple[int, ...], sender: int, sent: frozenset[int]) -> None:
+        for e in by_head.get(sender, []):
+            found.append((origin, trail + (e.id,)))
+            for w in sorted(e.tails):
+                if base_of[w] not in sent:
+                    extend(origin, trail + (e.id,), w, sent | {base_of[w]})
+
+    for c in carrier.copies:
+        extend(c.id, (), c.id, frozenset({c.base_node}))
+    return found
+
+
 def carrier_logs(carrier) -> tuple[list[int], dict[int, bytes]]:
     """Final states and reception logs of every copy of a carrier system.
 
-    Replays the carrier run phase by phase; each received record becomes an
-    entry [phase fault set, "trace"|"relay", origin, base channel trail,
-    value], with the trail rebuilt by walking the record's parents, and a
-    copy's log is the canonical JSON of its sorted entries."""
-    g = carrier.base
-    engine = get_engine(g, carrier.f)
-    tu_g = engine.tu
-    groups = {c.id: g.bit_of[c.base_node] for c in carrier.copies}
-    tu_c = TrailUniverse(carrier.graph, groups=groups)
-
-    def base_record(t: int) -> tuple[int, list[int]]:
-        trail = []
-        cur = t
-        while cur >= 0:
-            trail.append(carrier.base_edge[int(tu_c.edge[cur])])
-            cur = int(tu_c.parent[cur])
-        trail.reverse()
-        return carrier.copies[int(tu_c.origin[t])].base_node, trail
-
-    def collapse(cid: int, vals: np.ndarray) -> np.ndarray:
-        vec = np.full(tu_g.size, ABSENT, dtype=np.int16)
-        for t in tu_c.receives[cid].tolist():
-            origin, trail = base_record(t)
-            vec[tu_g.tid(origin, tuple(trail))] = vals[t]
-        return vec
+    Replays the carrier run phase by phase over ``carrier_trails``.  The
+    carrier is honest, so a record carries its origin copy's state when that
+    copy is seeded and is missing otherwise; every tail of its last channel
+    receives it.  Each received record becomes an entry [phase fault set,
+    "trace"|"relay", origin, base channel trail, value], and a copy's log is
+    the canonical JSON of its sorted entries.  The engine's trail universe is
+    read only to address the vector a node step reads, by (origin, trail)."""
+    engine = get_engine(carrier.base, carrier.f)
+    slot = {
+        (int(o), trail): t for t, (o, trail) in enumerate(zip(engine.tu.origin, engine.tu.trail_of))
+    }
+    tails = {e.id: e.tails for e in carrier.graph.edges}
+    received: dict[int, list] = {c.id: [] for c in carrier.copies}
+    for origin, trail in carrier_trails(carrier):
+        base = (carrier.copies[origin].base_node, tuple(carrier.base_edge[e] for e in trail))
+        for w in tails[trail[-1]]:
+            received[w].append((origin, base))
 
     gamma = [c.input for c in carrier.copies]
     logs: dict[int, list] = {c.id: [] for c in carrier.copies}
 
-    def record_log(cid: int, phase_tag, flood_tag: str, vals: np.ndarray) -> None:
-        for t in tu_c.receives[cid].tolist():
-            v = int(vals[t])
-            if v != ABSENT:
-                origin, trail = base_record(t)
-                logs[cid].append([list(phase_tag), flood_tag, origin, trail, v])
+    def flood(cid: int, phase_tag, flood_tag: str, seeds, states) -> np.ndarray:
+        """Log copy cid's receptions of one flood; return them as the
+        engine's trail vector."""
+        vec = np.full(engine.tu.size, ABSENT, dtype=np.int16)
+        for origin, (o, trail) in received[cid]:
+            if o in seeds:
+                logs[cid].append([list(phase_tag), flood_tag, o, list(trail), states[origin]])
+                vec[slot[o, trail]] = states[origin]
+        return vec
 
     for ph in engine.phases:
         if ph.source is None:
             continue
         phase_tag = tuple(sorted(ph.fault_set))
-        seeds_b = frozenset(c.id for c in carrier.copies if c.base_node in ph.seeds_b)
-        vals_b = flood_records(tu_c, seeds_b, gamma, {})
         new_gamma = list(gamma)
         for c in carrier.copies:
-            record_log(c.id, phase_tag, "trace", vals_b)
+            vec = flood(c.id, phase_tag, "trace", ph.seeds_b, gamma)
             if c.base_node in ph.source:
-                vec = collapse(c.id, vals_b)
                 new_gamma[c.id] = engine.node_step_cd(ph, c.base_node, gamma[c.id], vec)
-        seeds_e = frozenset(c.id for c in carrier.copies if c.base_node in ph.source)
-        vals_e = flood_records(tu_c, seeds_e, new_gamma, {})
+        relayed = list(new_gamma)
         for c in carrier.copies:
-            record_log(c.id, phase_tag, "relay", vals_e)
+            vec = flood(c.id, phase_tag, "relay", ph.source, relayed)
             if c.base_node not in ph.source and c.base_node not in ph.fault_set:
-                vec = collapse(c.id, vals_e)
                 new_gamma[c.id] = engine.node_step_f(ph, c.base_node, gamma[c.id], vec)
         gamma = new_gamma
 

@@ -13,6 +13,8 @@ from hyperbft.generators import (
     two_channel_example,
 )
 
+from oracles import source_components_mutual_reach
+
 
 def small_graphs(max_n: int = 6, max_m: int = 12):
     return st.builds(
@@ -155,13 +157,12 @@ def test_remove_nodes_composes(g: DirectedHypergraph) -> None:
     assert once == twice
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs())
-def test_decomposition_partitions_nodes(g: DirectedHypergraph) -> None:
-    comps = g.directed_decomposition
-    seen: set[int] = set()
-    for comp in comps:
-        assert not comp & seen
-        seen |= comp
-    assert seen == g.nodes
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.sets(st.integers(min_value=0, max_value=5), max_size=2))
+def test_source_components_match_mutual_reachability(g: DirectedHypergraph, removed) -> None:
+    """Source components, on a graph and on it with up to two nodes removed
+    (its node ids then leave gaps), are the classes of mutual reachability
+    that no arc enters, ordered by their smallest node."""
     assert len(g.source_components) >= 1
+    for h in (g, g.remove_nodes(removed & g.nodes)):
+        assert h.source_components == source_components_mutual_reach(h)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.generators import complete_p2p, sample_condition_violating
 from hyperbft.necessity import _run_carrier, build_carrier, build_necessity_executions
-from hyperbft import necessity, protocol
+from hyperbft import necessity
 from hyperbft.protocol import get_engine
 
-from oracles import carrier_logs
+from oracles import carrier_logs, carrier_trails
 
 
 def test_triangle_produces_split_outputs() -> None:
@@ -98,21 +101,35 @@ def test_reception_logs_match_the_canonical_json_oracle(f: int) -> None:
     assert checked >= 6
 
 
-def test_trail_limit_covers_the_carrier_universe(monkeypatch) -> None:
-    g, rep = sample_condition_violating(4, 4, 1, seed=17)[0]
-    carrier = build_carrier(g, 1, rep.violation)
-    base_trails = get_engine(g, 1).tu.size          # 47; the carrier has 62
-    monkeypatch.setattr(protocol, "MAX_TRAILS", base_trails)
-    with pytest.raises(ValueError, match=f"more than {base_trails} simple trails"):
-        _run_carrier(carrier)
+def test_carrier_trail_count_matches_the_search_oracle(monkeypatch) -> None:
+    """The size guard counts, off the base graph's trails, as many carrier
+    trails as a depth-first search over the carrier graph finds."""
+    monkeypatch.setattr(necessity, "MAX_CARRIER_RECORDS", 0)
+    checked = 0
+    for f in (1, 2):
+        for g, rep0 in sample_condition_violating(8, 6, f, seed=3):
+            if get_engine(g, f).tu.size > 400:
+                continue
+            carrier = build_carrier(g, f, rep0.violation)
+            with pytest.raises(ValueError, match="the carrier has") as refused:
+                _run_carrier(carrier)
+            counted = int(re.search(r"has (\d+) trails", str(refused.value)).group(1))
+            assert counted == len(carrier_trails(carrier)), (f, g.n, len(g.edges))
+            checked += 1
+    assert checked >= 12
 
 
 def test_carrier_size_guard_refuses_before_any_log(monkeypatch) -> None:
     g = complete_p2p(3)   # 30 carrier trails over 4 phases with a source
     monkeypatch.setattr(necessity, "MAX_CARRIER_RECORDS", 30 * 4 - 1)
-    monkeypatch.setattr(necessity, "flood_records", lambda *args: pytest.fail("log rendered"))
+    monkeypatch.setattr(necessity, "_int_list", lambda *args: pytest.fail("log rendered"))
     with pytest.raises(ValueError, match="30 trails over 4 phases"):
         build_necessity_executions(g, 1)
+    # the guard reads no carrier channel: the feed and origin tables, which
+    # are read off them, come after it
+    carrier = build_carrier(g, 1, check_lcr_hyper(g, 1).violation)
+    with pytest.raises(ValueError, match="30 trails over 4 phases"):
+        _run_carrier(dataclasses.replace(carrier, graph=None))
     monkeypatch.undo()
     monkeypatch.setattr(necessity, "MAX_CARRIER_RECORDS", 30 * 4)
     assert build_necessity_executions(g, 1).ok

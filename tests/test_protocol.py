@@ -175,9 +175,10 @@ def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
 def test_tabulated_floods_match_flood_records(n, m, f, seed, data) -> None:
     """Both floods of every phase, read off the engine's tables, equal the
     closed form, for every library adversary, a pinned split persona and a
-    custom rule.  Each seed set is flooded three times: the first flood runs
-    the closed form, the second tabulates, the third reads the tables alone.
-    Honest floods also carry states that are not bits."""
+    custom rule.  Each seed set is flooded three times: the first flood
+    tabulates it from the closed form on all-0 and all-1 states, and every
+    flood reads the tables.  Honest floods also carry states that are not
+    bits."""
     g = random_hypergraph(n, m, seed)
     engine = Engine(g, f)
     faulty = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=f), label="faulty"))
@@ -376,6 +377,17 @@ def test_missing_inputs_are_named() -> None:
         engine.run([1], {1: 0, 3: 1}, "silent")
 
 
+def test_inputs_for_unknown_nodes_are_refused() -> None:
+    engine = Engine(complete_p2p(4), 1)
+    engine.run([], {v: 0 for v in range(4)})
+    with pytest.raises(ValueError, match=r"^input for unknown node 9$"):
+        engine.run([], {0: 0, 1: 0, 2: 0, 3: 0, 9: 1})
+    with pytest.raises(ValueError, match=r"^input for unknown node -1$"):
+        engine.run([2], {-1: 0, 0: 1, 1: 0, 2: 1, 3: 0}, "silent")
+    # refused before the adversary is resolved, so before any phase runs
+    assert ("adversary", "silent") not in engine._cache
+
+
 def test_negative_f_is_refused_before_the_trail_universe(monkeypatch) -> None:
     def no_universe(*args, **kwargs):
         raise AssertionError("the trail universe was built")
@@ -435,16 +447,12 @@ def test_trail_limit_refuses_before_building_any_trail() -> None:
     st.integers(min_value=2, max_value=6),
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=2**31),
-    st.integers(min_value=1, max_value=6),
 )
-def test_trail_count_is_the_universe_size(n, channels, seed, groups) -> None:
-    """The state count equals the number of trails built, with node bits and
-    with group bits."""
+def test_trail_count_is_the_universe_size(n, channels, seed) -> None:
+    """The state count equals the number of trails built."""
     g = random_hypergraph(n, channels, seed)
     tails_of = {e.id: e.sorted_tails() for e in g.edges}
-    for grouping in (None, {v: v % groups for v in g.node_order}):
-        bit = g.bit_of if grouping is None else grouping
-        assert protocol._count_trails(g, bit, tails_of) == TrailUniverse(g, grouping).size
+    assert protocol._count_trails(g, tails_of) == TrailUniverse(g).size
 
 
 def test_edge_used_names_each_trails_channel_of_a_node() -> None:
