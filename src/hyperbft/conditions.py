@@ -132,6 +132,13 @@ class ConditionReport:
     violation: Violation | None
 
 
+def require_fault_bound(f: int) -> None:
+    """Refuse a negative fault bound f, which would otherwise leave every
+    check with no fault set to scan."""
+    if f < 0:
+        raise ValueError(f"f must be a non-negative integer, got {f}")
+
+
 def subsets_by_cardinality(items: Iterable[int], max_k: int) -> Iterator[frozenset[int]]:
     """All subsets of size <= max_k, ordered by cardinality then lexicographically."""
     ordered = sorted(items)
@@ -675,11 +682,13 @@ def check_with_fault_set(
     Returns ``(holds, violation)``.  With ``want_witness=False`` the scan
     stops at the first violating split graph and builds no witness.
     """
+    require_fault_bound(f)
     holds, _, _, violation = _scan_fault_set(g, frozenset(fault_set), f, condition, want_witness)
     return holds, violation
 
 
 def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
+    require_fault_bound(f)
     fault_sets = splits_total = partitions_total = 0
     for fset in subsets_by_cardinality(g.nodes, f):
         fault_sets += 1

@@ -298,19 +298,28 @@ class DirectedHypergraph:
 
     @cached_property
     def source_components(self) -> tuple[frozenset[int], ...]:
-        """Strongly connected components of the underlying digraph with no
-        incoming arc from outside, ordered by their smallest node id.  A node
-        v lies in one exactly when v reaches every node that reaches it, and
-        the component is then the set of nodes that reach v."""
+        """``source_components_without(0)``: the source components of the
+        whole graph."""
+        return self.source_components_without(0)
+
+    def source_components_without(self, removed_mask: int) -> tuple[frozenset[int], ...]:
+        """Strongly connected components of the underlying digraph minus
+        the nodes in ``removed_mask`` (node bits) with no incoming arc from
+        outside, ordered by their smallest node id.  The arcs of
+        ``remove_nodes(X)`` are this graph's arcs between nodes outside X, so
+        masking X out of every closure gives the components of that graph
+        without building it.  A node v lies in one exactly when v reaches
+        every node that reaches it, and the component is then the set of
+        nodes that reach v."""
         bit = self.bit_of
         sources = []
-        found = 0
+        found = removed_mask
         for v in self.node_order:
             vb = 1 << bit[v]
             if found & vb:
                 continue
-            back = reach_closure_bits(self.in_masks, vb)
-            if not back & ~reach_closure_bits(self.out_union_masks, vb):
+            back = reach_closure_bits(self.in_masks, vb, removed_mask)
+            if not back & ~reach_closure_bits(self.out_union_masks, vb, removed_mask):
                 found |= back
                 sources.append(frozenset(self.nodes_of_mask(back)))
         return tuple(sources)

@@ -32,7 +32,13 @@ S u N(F, S)) and ``"relay"`` (step (e), S's updated states).  An entry is
 the phase's sorted fault set, the base node that started the record, the
 base channel ids it travelled, and the value it arrived with.  The log's
 bytes are ``canonical_json`` of the sorted entries (JSON, indent 2, one
-trailing newline); ``_run_carrier`` renders that text directly.
+trailing newline); ``_run_carrier`` renders that text directly.  Before the
+first flood it lays every serving copy's received base trails end to end,
+each copy's in (origin, trail) order, as one flat index into a flood's
+(copies + 1, T) value matrix, and renders each entry's text once with value
+0 and once with 1.  A flood is then one gather through that index: the
+entries that arrived pick their text by value, one ``searchsorted`` cuts
+them into copies, and each copy's part is one string join.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import Violation, check_lcr_hyper
+from .conditions import Violation, check_lcr_hyper, require_fault_bound
 from .hypergraph import DirectedHypergraph
 from .protocol import ABSENT, get_engine
 from .splitting import SplitHypergraph
@@ -282,7 +288,7 @@ def _int_list(xs) -> str:
     """A list of ints as ``canonical_json`` renders it inside a log entry."""
     if not xs:
         return "[]"
-    return "[\n" + ",\n".join(f"      {x}" for x in xs) + "\n    ]"
+    return "[\n      " + ",\n      ".join(map(str, xs)) + "\n    ]"
 
 
 def _run_carrier(carrier: Carrier):
@@ -326,34 +332,38 @@ def _run_carrier(carrier: Carrier):
 
     # Reception logs, kept only for copies that serve an execution.  An
     # entry's origin and trail are those of its base trail, so each base
-    # trail's text and sort key are computed once, and each copy's trails
-    # are put in (origin, trail) order once.
+    # trail's text is rendered once per value, and each serving copy's
+    # trails are put in (origin, trail) order once.  Those trails, laid end
+    # to end copy after copy (``bounds``), become one flat index into a
+    # flood's (copies + 1, T) values, and ``rendered[x, i]`` is entry i's
+    # text with value x.
     serving = [c.id for c in copies if c.serves]
+    heard = origin[serving] >= 0
     origin_g = tu.origin.tolist()
     used = np.array(sorted(
-        np.flatnonzero((origin[serving] >= 0).any(axis=0)).tolist(),
+        np.flatnonzero(heard.any(axis=0)).tolist(),
         key=lambda b: (origin_g[b], tu.trail_of[b]),
     ), dtype=np.int64)
-    record_text = {
-        b: f"{origin_g[b]},\n    {_int_list(tu.trail_of[b])},\n    " for b in used.tolist()
-    }
-    log_order: dict[int, tuple[np.ndarray, list[str]]] = {}
-    for cid in serving:
-        tids = used[origin[cid, used] >= 0]
-        log_order[cid] = (tids, [record_text[b] for b in tids.tolist()])
+    entry_text = [f"{origin_g[b]},\n    {_int_list(tu.trail_of[b])},\n    " for b in used.tolist()]
+    row, col = np.nonzero(heard[:, used])
+    flat = np.array(serving, dtype=np.int64)[row] * tu.size + used[col]
+    bounds = np.searchsorted(row, np.arange(len(serving) + 1))
+    rendered = np.array(
+        [[t + "0" for t in entry_text], [t + "1" for t in entry_text]], dtype=object
+    )[:, col]
     # per copy: (phase fault set, flood tag, rendered entries of that flood)
     chunks: dict[int, list[tuple[tuple[int, ...], str, str]]] = {cid: [] for cid in serving}
 
     def record_log(phase_tag: tuple[int, ...], flood_tag: str, vals: np.ndarray) -> None:
         head = f'  [\n    {_int_list(phase_tag)},\n    "{flood_tag}",\n    '
         sep = "\n  ],\n" + head
-        for cid in serving:
-            tids, texts = log_order[cid]
-            v = vals[cid, tids]
-            kept = np.flatnonzero(v != ABSENT).tolist()
-            if kept:
-                body = sep.join([texts[i] + str(x) for i, x in zip(kept, v[kept].tolist())])
-                chunks[cid].append((phase_tag, flood_tag, head + body + "\n  ]"))
+        v = vals.ravel().take(flat)
+        kept = np.flatnonzero(v != ABSENT)
+        parts = rendered[v[kept], kept].tolist()
+        cuts = np.searchsorted(kept, bounds).tolist()
+        for cid, lo, hi in zip(serving, cuts, cuts[1:]):
+            if lo < hi:
+                chunks[cid].append((phase_tag, flood_tag, head + sep.join(parts[lo:hi]) + "\n  ]"))
 
     gamma = [c.input for c in copies]
     for ph in phases:
@@ -394,6 +404,7 @@ def build_necessity_executions(
     The violation witness is computed when not supplied; passing one makes
     the construction reproducible for a chosen witness.
     """
+    require_fault_bound(f)
     if violation is None:
         report = check_lcr_hyper(g, f)
         if report.holds:

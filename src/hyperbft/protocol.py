@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditions import subsets_by_cardinality
+from .conditions import require_fault_bound, subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
 from .paths import canonical_paths_to, packs_sorted, propagates_bits
 from .splitting import _MASK_BITS, SplitLayout, split_layout
@@ -197,7 +197,12 @@ class TrailUniverse:
     trail's transmitters as node bits.  The simulator and the necessity
     harness's carrier both read this one universe.  A graph with more than
     ``MAX_TRAILS`` trails raises ValueError before any trail is built
-    (``_count_trails``)."""
+    (``_count_trails``).
+
+    The receive lists are one int32 array, ``received``, in node order:
+    the node of bit i receives ``received[received_at[i]:received_at[i + 1]]``,
+    by (length, tmask) and then by trail id, and ``receives[v]`` is a view
+    of v's run, not a copy.  Nothing else is stored per receive."""
 
     def __init__(self, g: DirectedHypergraph):
         bit = g.bit_of
@@ -261,15 +266,27 @@ class TrailUniverse:
         for e in g.edges:
             self.edge_head[e.id] = e.head
 
-        # receives[v]: the trails v receives by (length, tmask), then by id.
-        # A trail's length is its popcount in tmask, so any selection of them
-        # keeps equal masks adjacent and sparse masks first.
+        # received[received_at[i]:received_at[i + 1]]: the trails the node of
+        # bit i receives, by (length, tmask), then by id; receives[v] is a
+        # view of v's run.  A trail's length is its popcount in tmask, so any
+        # selection of them keeps equal masks adjacent and sparse masks
+        # first.  One nonzero over the tail bits of each trail's last
+        # channel, in that order and transposed, lists them receiver by
+        # receiver.
         length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
-        receives: dict[int, list[int]] = {v: [] for v in g.node_order}
-        for tid in np.lexsort((self.tmask, length)).tolist():
-            for w in tails_of[edges[tid]]:
-                receives[w].append(tid)
-        self.receives = {v: np.array(ts, dtype=np.int32) for v, ts in receives.items()}
+        order = np.lexsort((self.tmask, length))
+        tail_bits = np.zeros((self.max_edge_id + 1, len(bit)), dtype=bool)
+        tail_bits[
+            [e for e, ts in tails_of.items() for _ in ts],
+            [bit[w] for ts in tails_of.values() for w in ts],
+        ] = True
+        receiver, at = np.nonzero(tail_bits[self.edge[order]].T)
+        self.received = order[at].astype(np.int32)
+        self.received_at = np.searchsorted(receiver, np.arange(len(bit) + 1))
+        bounds = self.received_at.tolist()
+        self.receives = {
+            v: self.received[bounds[i]:bounds[i + 1]] for i, v in enumerate(g.node_order)
+        }
 
     def tid(self, origin: int, trail: tuple[int, ...]) -> int | None:
         return self.index.get((origin, trail))
@@ -383,7 +400,10 @@ class Candidates(NamedTuple):
     transmitted, -1 where it did not (int16, one column per trail).
     ``distinct`` holds each transmitter mask once, in that order, and
     ``starts`` the index of its first trail, so a selection of trails maps
-    to its distinct masks with one ``reduceat``."""
+    to its distinct masks with one ``reduceat``.
+
+    ``_build_phase`` builds the tables of all nodes of a phase at once and
+    each node's fields are slices (views) of the phase's arrays."""
 
     tids: np.ndarray
     origin_bits: np.ndarray
@@ -416,13 +436,24 @@ class PhaseData:
 
 
 def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int]) -> PhaseData:
+    """One phase's ``PhaseData``, read off G and its trail universe with F
+    masked out rather than off a graph G - F: S is the one source component
+    of G minus F's bits, and since no arc of G - F enters S, every canonical
+    path between nodes of S is G's canonical path within S.
+
+    The candidate tables of all nodes come from one pass over the
+    universe's receive array: each receiver's avoid mask and origin mask are
+    broadcast over its run, one keep mask filters the whole array, a run of
+    equal transmitter masks starts wherever the mask or the receiver
+    changes, and each node's ``Candidates`` are sliced out of the result."""
     bit = g.bit_of
-    reduced = g.remove_nodes(fset)
-    sources = reduced.source_components
+    fmask = g.mask_of(fset)
+    sources = g.source_components_without(fmask)
     layout = split_layout(g, fset, fset)
     if len(sources) != 1:
         return PhaseData(fset, None, frozenset(), layout)
     source = frozenset(sources[0])
+    smask = g.mask_of(source)
     nfs = g.in_neighborhood(fset, source)
     in_s = sorted(source)
 
@@ -433,14 +464,13 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     cpath_f = {}
     cpath_s = {}
     for v in in_s:
-        paths = canonical_paths_to(reduced, in_s, v)
+        paths = canonical_paths_to(g, in_s, v, smask)
         cpath_s[v] = tuple(
             (1 << bit[u], None if paths[u] is None else tu.tid(u, paths[u]))
             for u in in_s if u != v
         )
-        # No arc of G - F enters S, so a path between nodes of S stays in S.
         # v's canonical trail through a fault channel, in S plus that channel,
-        # is thus the channel and then the canonical path from its tail in S
+        # is the channel and then the canonical path from its tail in S
         # nearest to v (least id on ties).
         through = []
         for eid, u, tails in slots:
@@ -452,38 +482,57 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
     for j, (eid, _, _, _) in enumerate(layout.slots):
         slot_of[eid] = j
-    sent = slot_of[tu.edge_used[sorted(nfs)]]
 
-    origin_bits = np.left_shift(np.int64(1), tu.origin.astype(np.int64))
-
-    def candidates(v: int, avoid: int, origins: int) -> Candidates:
-        """Trails received by v with no transmitter in ``avoid`` and an
-        origin in ``origins``."""
-        tids = tu.receives[v]
-        masks = tu.tmask[tids]
-        obits = origin_bits[tids]
-        keep = ((masks & avoid) == 0) & ((obits & origins) != 0)
-        tids, masks = tids[keep], masks[keep]
-        # equal masks are adjacent: a run starts where the mask changes
-        first = np.ones(len(masks), dtype=bool)
-        np.not_equal(masks[1:], masks[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        return Candidates(tids, obits[keep], sent[:, tids], masks[starts], starts)
-
-    # step (d) candidates: trails ending at v whose origin could sit on the
-    # adopting side's complement; the receiving node itself must not appear
-    # mid-trail, or the underlying path would visit it twice.
+    # Per receiver: the transmitters its trails must avoid and the origins
+    # they may start at.  Step (d) (v in S) keeps trails from S u N(F, S);
+    # the receiving node itself must not appear mid-trail, or the underlying
+    # path would visit it twice.  Step (f) keeps trails from S that avoid F
+    # and v itself.  A node of F weighs no trail.
     seeds_b = source | nfs
     seeds_mask = g.mask_of(seeds_b)
-    cand_d = {v: candidates(v, 1 << bit[v], seeds_mask) for v in in_s}
-    # step (f) candidates: trails from S that avoid F and v itself
-    fmask = g.mask_of(fset)
     updaters_f = tuple(v for v in g.node_order if v not in source and v not in fset)
-    cand_f = {v: candidates(v, fmask | 1 << bit[v], g.mask_of(source)) for v in updaters_f}
+    avoid = np.array(
+        [1 << i | (0 if v in source else fmask) for i, v in enumerate(g.node_order)],
+        dtype=np.int64,
+    )
+    origins = np.array(
+        [seeds_mask if v in source else 0 if v in fset else smask for v in g.node_order],
+        dtype=np.int64,
+    )
+    at = tu.received_at
+    receiver = np.repeat(np.arange(len(avoid)), at[1:] - at[:-1])
+    tids = tu.received
+    masks = tu.tmask[tids]
+    obits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
+    keep = (((masks & avoid[receiver]) == 0) & ((obits & origins[receiver]) != 0)).nonzero()[0]
+    tids, masks, obits, receiver = tids[keep], masks[keep], obits[keep], receiver[keep]
+    # a run of equal masks starts where the mask or the receiver changes
+    first = np.ones(len(keep), dtype=bool)
+    np.not_equal(masks[1:], masks[:-1], out=first[1:])
+    first[1:] |= receiver[1:] != receiver[:-1]
+    starts = first.nonzero()[0]
+    cut = np.searchsorted(receiver, np.arange(len(avoid) + 1))
+    # each run's start within its receiver's table
+    local = starts - cut[receiver[starts]]
+    distinct = masks[starts]
+    sent = slot_of[tu.edge_used[sorted(nfs)][:, tids]]
+    run_cut = np.searchsorted(starts, cut).tolist()
+    cut = cut.tolist()
+
+    tables = {}
+    for v in (*in_s, *updaters_f):
+        lo, hi = cut[bit[v]], cut[bit[v] + 1]
+        rlo, rhi = run_cut[bit[v]], run_cut[bit[v] + 1]
+        tables[v] = Candidates(
+            tids[lo:hi], obits[lo:hi], sent[:, lo:hi], distinct[rlo:rhi], local[rlo:rhi]
+        )
     return PhaseData(
         fset, source, seeds_b, layout, g.mask_of(nfs),
         sum(1 << layout.copy1[bit[u]] for u in nfs),
-        cpath_f, cpath_s, cand_d, cand_f, updaters_f,
+        cpath_f, cpath_s,
+        {v: tables[v] for v in in_s},
+        {v: tables[v] for v in updaters_f},
+        updaters_f,
     )
 
 
@@ -534,8 +583,7 @@ class Engine:
     step (e) only when step (f) has a node to update."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
-        if f < 0:
-            raise ValueError(f"f must be a non-negative integer, got {f}")
+        require_fault_bound(f)
         if g.nodes != frozenset(range(g.n)):
             raise ValueError("the simulator needs node ids 0..n-1")
         if g.n + 2 * f > _MASK_BITS:

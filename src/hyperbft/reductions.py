@@ -28,6 +28,7 @@ from .conditions import (
     _lcr_partition,
     _lcr_split_violated,
     check_lcr_hyper,
+    require_fault_bound,
     subsets_by_cardinality,
 )
 from .hypergraph import DirectedHypergraph, SimpleDigraph
@@ -86,6 +87,7 @@ def _check_reduced(g: DirectedHypergraph, f: int, condition: str) -> ReducedRepo
     p2p labels the nodes of V - F with out-masks that drop faulty heads and
     targets; local labels all of V with the plain out-masks.  Heads and
     targets of a p2p labelling lie in V - F, where both masks agree."""
+    require_fault_bound(f)
     m = len(g.node_order)
     fault_sets = 0
     partitions = 0
@@ -328,6 +330,7 @@ def cross_validate_reduction(g: DirectedHypergraph, f: int, klass: str) -> Cross
     counts only apply to bidirectional graphs (p2p, local) and are reported
     as None otherwise.
     """
+    require_fault_bound(f)
     cls = g.classify
     general = check_lcr_hyper(g, f).holds
     classic: bool | None = None

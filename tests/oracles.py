@@ -31,6 +31,10 @@ fault set and sums the counters.
 ``source_components_mutual_reach`` finds source components by a
 breadth-first search from every node, where the library grows bitmask
 closures.
+``receives_reference`` appends every trail to its receivers' lists one by
+one, and ``phase_candidates_reference`` filters each node's list alone,
+where the library builds the lists with one nonzero and a phase's candidate
+tables with one pass over all of them.
 ``node_steps_reference`` is a node's step (c)+(d) or step (f) computed from
 the phase's fault set and source component alone, where the engine reads
 per-(phase, node) candidate tables built once per phase; its
@@ -55,6 +59,7 @@ from hyperbft.hypergraph import DirectedHypergraph
 from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
 from hyperbft.protocol import (
     ABSENT,
+    Candidates,
     PhaseOutcome,
     RunResult,
     TrailUniverse,
@@ -596,6 +601,57 @@ def edge_used_reference(tu: TrailUniverse, u: int) -> np.ndarray:
         [next((e for e in trail if heads[e] == u), -1) for trail in tu.trail_of],
         dtype=np.int32,
     )
+
+
+def receives_reference(tu: TrailUniverse) -> dict[int, np.ndarray]:
+    """The trails each node receives, by (length, tmask) and then by id:
+    every trail in that order is appended to the list of each tail of its
+    last channel, where the library reads all lists off one nonzero."""
+    length = np.array([len(trail) for trail in tu.trail_of], dtype=np.int64)
+    receives: dict[int, list[int]] = {v: [] for v in tu.g.node_order}
+    for tid in np.lexsort((tu.tmask, length)).tolist():
+        for w in sorted(tu.g.edge_by_id[int(tu.edge[tid])].tails):
+            receives[w].append(tid)
+    return {v: np.array(ts, dtype=np.int32) for v, ts in receives.items()}
+
+
+def phase_candidates_reference(engine, ph) -> tuple[dict, dict]:
+    """A phase's step (d) and step (f) candidate tables, built node by node:
+    each node filters its own receive list by the transmitters it must avoid
+    and the origins it admits, and starts a run wherever the mask changes,
+    where the library filters every receive list in one pass and slices the
+    tables out.  Returns (tables of S's nodes, tables of the nodes outside S
+    and F)."""
+    g, tu = engine.g, engine.tu
+    bit = g.bit_of
+    fset, source = ph.fault_set, ph.source
+    nfs = g.in_neighborhood(fset, source)
+    receives = receives_reference(tu)
+    slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
+    for j, (eid, _, _, _) in enumerate(ph.layout.slots):
+        slot_of[eid] = j
+    sent = slot_of[tu.edge_used[sorted(nfs)]]
+    origin_bits = np.left_shift(np.int64(1), tu.origin.astype(np.int64))
+
+    def candidates(v: int, avoid: int, origins: int) -> Candidates:
+        tids = receives[v]
+        masks = tu.tmask[tids]
+        obits = origin_bits[tids]
+        keep = ((masks & avoid) == 0) & ((obits & origins) != 0)
+        tids, masks = tids[keep], masks[keep]
+        first = np.ones(len(masks), dtype=bool)
+        np.not_equal(masks[1:], masks[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        return Candidates(tids, obits[keep], sent[:, tids], masks[starts], starts)
+
+    seeds_mask = g.mask_of(source | nfs)
+    fmask = g.mask_of(fset)
+    cand_d = {v: candidates(v, 1 << bit[v], seeds_mask) for v in sorted(source)}
+    cand_f = {
+        v: candidates(v, fmask | 1 << bit[v], g.mask_of(source))
+        for v in g.node_order if v not in source and v not in fset
+    }
+    return cand_d, cand_f
 
 
 def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperbft import conditions
+from hyperbft import conditions, necessity, protocol, reductions
 from hyperbft.conditions import (
     AB,
     LCR,
@@ -493,3 +493,42 @@ def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
     assert set(minimal) <= ordered
     assert all(_rows_below(row, minimal) for row in ordered)
     assert all(not _rows_below(row, [low for low in minimal if low != row]) for row in minimal)
+
+
+class _Untouchable:
+    """A stand-in graph that fails on any use, so an entry point that reads
+    its graph before refusing f shows up."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the graph's {name} was read before f was checked")
+
+    def __eq__(self, other):
+        raise AssertionError("the graph was compared before f was checked")
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g: check_lcr_hyper(g, -1),
+        lambda g: check_ab_hyper(g, -1),
+        lambda g: check_with_fault_set(g, (), -1),
+        lambda g: reductions.check_lcr_p2p(g, -1),
+        lambda g: reductions.check_lcr_local(g, -1),
+        lambda g: reductions.cross_validate_reduction(g, -1, "p2p"),
+        lambda g: necessity.build_necessity_executions(g, -1),
+        lambda g: protocol.Engine(g, -1),
+    ],
+    ids=[
+        "check_lcr_hyper", "check_ab_hyper", "check_with_fault_set", "check_lcr_p2p",
+        "check_lcr_local", "cross_validate_reduction", "build_necessity_executions", "Engine",
+    ],
+)
+def test_negative_f_is_refused_before_any_work(entry) -> None:
+    """Every entry point refuses a negative f with one message before it
+    reads the graph; K3 at f = -1 used to hold after 0 fault sets."""
+    with pytest.raises(ValueError, match="^f must be a non-negative integer, got -1$"):
+        entry(_Untouchable())
+    with pytest.raises(ValueError, match="^f must be a non-negative integer, got -1$"):
+        entry(complete_p2p(3))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
@@ -166,3 +167,21 @@ def test_source_components_match_mutual_reachability(g: DirectedHypergraph, remo
     assert len(g.source_components) >= 1
     for h in (g, g.remove_nodes(removed & g.nodes)):
         assert h.source_components == source_components_mutual_reach(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_masked_source_components_match_the_removed_graph(n, m, seed) -> None:
+    """Masking F out of the closures gives the source components of
+    ``remove_nodes(F)``, for every F of at most two nodes, on graphs with up
+    to three tails per channel."""
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    for k in range(3):
+        for fset in itertools.combinations(g.node_order, k):
+            assert g.source_components_without(g.mask_of(fset)) == (
+                source_components_mutual_reach(g.remove_nodes(fset))
+            ), fset

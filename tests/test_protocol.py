@@ -24,6 +24,7 @@ from hyperbft.protocol import (
     ABSENT,
     ADVERSARY_NAMES,
     Adversary,
+    Candidates,
     Engine,
     SplitPersonaAdversary,
     TrailUniverse,
@@ -38,6 +39,8 @@ from oracles import (
     edge_used_reference,
     flood_records_layered,
     node_steps_reference,
+    phase_candidates_reference,
+    receives_reference,
     run_reference,
 )
 
@@ -281,6 +284,37 @@ def test_adopt_on_sorted_distinct_masks_matches_the_raw_packing(n, m, f, seed) -
                         want = b
                         break
                 assert engine._adopt(7, cand, vals, ok) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_one_pass_candidates_match_the_per_node_filter(n, m, f, seed) -> None:
+    """Every receive list, and every field of every phase's candidate
+    tables, equals the node-by-node build of ``receives_reference`` and
+    ``phase_candidates_reference``, values and dtypes, on graphs with up to
+    three tails per channel."""
+    g = random_hypergraph(n, m, seed, max_tail_size=3)
+    engine = Engine(g, f)
+    tu = engine.tu
+    for v, want in receives_reference(tu).items():
+        assert tu.receives[v].dtype == want.dtype and np.array_equal(tu.receives[v], want), v
+        assert tu.receives[v].base is tu.received, v
+    for ph in engine.phases:
+        if ph.source is None:
+            continue
+        want_d, want_f = phase_candidates_reference(engine, ph)
+        for got, want in ((ph.cand_d, want_d), (ph.cand_f, want_f)):
+            assert got.keys() == want.keys()
+            for v in want:
+                for field in Candidates._fields:
+                    a, b = getattr(got[v], field), getattr(want[v], field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, (ph.fault_set, v, field)
+                    assert np.array_equal(a, b), (ph.fault_set, v, field)
 
 
 @settings(max_examples=200, deadline=None)
