@@ -318,7 +318,10 @@ def crossval(
     for n in range(2, n_max + 1):
         checked = holds = 0
         for g in _family(klass, n, sample, seed):
-            res = cross_validate_reduction(g, f, klass)
+            try:
+                res = cross_validate_reduction(g, f, klass)
+            except ValueError as exc:
+                _error(str(exc))
             checked += 1
             holds += res.general
             if not res.agree:

@@ -28,10 +28,12 @@ trail universe per graph.  Since an adversary's forward rule is a fixed map
 on {0, 1}, ``flood_records`` evaluates a flood in closed form (each trail's
 origin emission, mapped once per faulty forwarder).  A record's value thus
 depends only on its origin's state: an honest flood takes each origin's
-state along its trails, and with deviating nodes the engine tabulates both
-values of every trail per seed set from two closed-form floods, on all-0
-and all-1 states, so each flood is one ``take`` over the trails' origins
-and one ``where``.
+state along its trails.  With deviating nodes the engine keeps one table
+per (fault set, adversary), whatever the seed set: each trail's value for
+an origin seeded with 0, seeded with 1 or unseeded, packed in one byte and
+built from two closed-form floods with every node seeded, on all-0 and
+all-1 states.  Each flood is then one ``take`` over the trails' origins
+and two shifts.
 Repeated runs (sweeps over inputs, fault sets, and adversaries) are thus
 cheap.  Phase transitions are memoized on the full state vector, and step
 (d)'s propagation test on the split and the Z/N sorting.
@@ -60,10 +62,6 @@ WORKERS_ENV = "HYPERBFT_WORKERS"
 # (complete_p2p(8) has 767,200, complete_p2p(9) 7,891,272); a graph with
 # more is refused with a ValueError before any trail is built.
 MAX_TRAILS = 1_000_000
-# With deviating faulty nodes the engine keeps two int8 values per trail for
-# each seed set it floods (``Engine._flood``), as long as all of them fit in
-# this many bytes; complete_p2p(8) fits 10 seed sets, complete_p2p(7) 102.
-MAX_FLOOD_TABLE_BYTES = 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ class Adversary:
     * ``emit(node, gamma, ranks, edge_ids)``: the values ``node`` originates
       on its channels, given the state ``gamma`` it would honestly send, each
       channel's rank among the node's channels in id order, and the channel
-      ids.  Returns one entry per channel, ABSENT for silence.
+      ids.  Returns one entry per channel: 0, 1, or ABSENT for silence.
 
     The defaults forward and originate honestly.  ``follows_protocol`` marks
     rules that behave exactly like a correct node."""
@@ -574,13 +572,13 @@ class Engine:
     """Shared per-graph simulator state.
 
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
-    (phase, split, Z, N), holds the flood tables of the current (fault set,
+    (phase, split, Z, N), holds the flood table of the current (fault set,
     adversary) (``_flood``), and the one instance of each library adversary
-    a run has named; clearing it empties all four.  The tables take two int8
-    entries per trail and kept seed set, at most ``MAX_FLOOD_TABLE_BYTES`` in
-    all, and a run with another fault set or adversary replaces them.  A
-    phase floods at most two seed sets: S u N(F, S) for step (b), and S for
-    step (e) only when step (f) has a node to update."""
+    a run has named; clearing it empties all four.  The table takes one
+    byte per trail, whatever the seed sets, and a run with another fault
+    set or adversary replaces it.  A phase floods at most two seed sets:
+    S u N(F, S) for step (b), and S for step (e) only when step (f) has a
+    node to update."""
 
     def __init__(self, g: DirectedHypergraph, f: int):
         require_fault_bound(f)
@@ -695,30 +693,26 @@ class Engine:
         """``flood_records(self.tu, seeds, gamma, faulty, adversary)``;
         the records come back int8 when faulty nodes deviate.
 
-        With deviating nodes a record's value is fixed by its origin's
-        state bit.  So the first flood of a seed set tabulates both values of
-        every trail, from ``flood_records`` on all-0 and on all-1 states, and
-        every flood picks one table per trail by its origin's state.  Only
-        the current (fault set, adversary) keeps its tables, and only for the
-        seed sets that fit in ``MAX_FLOOD_TABLE_BYTES``; the others run
-        ``flood_records`` on every flood."""
+        With deviating nodes a record is 0, 1 or ABSENT, fixed by its
+        origin's code c: 0 or 1 for an origin seeded with that state, 2 for
+        an unseeded one, whose records are all ABSENT.  So the current (fault
+        set, adversary) keeps one table of a byte per trail, whose bits 2c
+        and 2c + 1 hold the trail's record for code c in two's complement.
+        It is built from ``flood_records`` with every node seeded, on all-0
+        and on all-1 states.  A flood gathers each trail's left shift 6 - 2c
+        by its origin, which moves field c to the top two bits, and an
+        arithmetic shift right by 6 sign-extends it."""
         if adversary.follows_protocol or not faulty:
             return flood_records(self.tu, seeds, gamma)
+        n = self.g.n
         fkey = (faulty, adversary.key)
         current = self._cache.get("floods")
         if current is None or current[0] != fkey:
-            current = self._cache["floods"] = (fkey, {})
-        tables = current[1].get(seeds)
-        if tables is None:
-            # tabulate only if both tables of every kept seed set fit
-            if 2 * self.tu.size * (len(current[1]) + 1) > MAX_FLOOD_TABLE_BYTES:
-                return flood_records(self.tu, seeds, gamma, faulty, adversary).astype(np.int8)
-            tables = current[1][seeds] = np.array(
-                [flood_records(self.tu, seeds, (b,) * self.g.n, faulty, adversary) for b in (0, 1)],
-                dtype=np.int8,
-            )
-        ones = np.array(gamma) == 1
-        return np.where(ones.take(self.tu.origin), tables[1], tables[0])
+            v0, v1 = (flood_records(self.tu, range(n), (b,) * n, faulty, adversary) for b in (0, 1))
+            table = (ABSENT << 4 | (v1 & 3) << 2 | v0 & 3).astype(np.int8)
+            current = self._cache["floods"] = (fkey, table)
+        shift = np.array([6 - 2 * gamma[v] if v in seeds else 2 for v in range(n)], dtype=np.int8)
+        return (current[1] << shift.take(self.tu.origin)) >> 6
 
     def _eval_phase(
         self,

@@ -256,6 +256,16 @@ def test_crossval_sampled_mode_is_seeded(runner) -> None:
     assert first.output == second.output
 
 
+def test_crossval_refused_graph_exits_one(runner) -> None:
+    # the sampled n=63 graph splits into 63 nodes at f=0, past the mask bits
+    res = invoke(runner, "crossval", "--class", "p2p", "--n-max", "63", "--f", "0",
+                 "--sample", "1")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+    assert "split graph has 63 nodes" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_cli_reports_are_reproducible(runner, tmp_path) -> None:
     path = k3_path(tmp_path)
     a = invoke(runner, "check", path, "--f", "1", "--json")

@@ -176,12 +176,13 @@ def test_closed_form_flood_matches_the_layered_oracle(n, m, seed, data) -> None:
     st.data(),
 )
 def test_tabulated_floods_match_flood_records(n, m, f, seed, data) -> None:
-    """Both floods of every phase, read off the engine's tables, equal the
-    closed form, for every library adversary, a pinned split persona and a
-    custom rule.  Each seed set is flooded three times: the first flood
-    tabulates it from the closed form on all-0 and all-1 states, and every
-    flood reads the tables.  Honest floods also carry states that are not
-    bits."""
+    """Both floods of every phase, read off the engine's one table per
+    (fault set, adversary), equal the closed form, for every library
+    adversary, a pinned split persona and a custom rule.  Each seed set is
+    flooded three times; the first flood under an adversary builds the
+    table from the closed form on all-0 and all-1 states with every node
+    seeded, and every flood reads it.  Honest floods also carry states that
+    are not bits."""
     g = random_hypergraph(n, m, seed)
     engine = Engine(g, f)
     faulty = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=f), label="faulty"))
@@ -200,23 +201,35 @@ def test_tabulated_floods_match_flood_records(n, m, f, seed, data) -> None:
                     assert np.array_equal(got, want), (adv.name, sorted(seeds), gamma)
         if deviates and any(ph.source is not None for ph in engine.phases):
             assert engine._cache["floods"][0] == (faulty, adv.key)
+            assert engine._cache["floods"][1].nbytes == engine.tu.size
 
 
-def test_flood_tables_stop_at_their_byte_bound(monkeypatch) -> None:
-    """Past ``MAX_FLOOD_TABLE_BYTES`` a seed set keeps no table, and its
-    floods still equal the closed form."""
+def test_one_flood_table_serves_every_seed_set() -> None:
+    """Under one (fault set, adversary) the engine keeps a single flood
+    table of one byte per trail, however many seed sets it floods; a pair
+    with another fault set or adversary, by a flood or by a run, replaces
+    it, and every flood equals the closed form."""
     g = complete_p2p(5)
-    engine = Engine(g, 1)
-    monkeypatch.setattr(protocol, "MAX_FLOOD_TABLE_BYTES", 2 * 2 * engine.tu.size)
-    faulty, adv = frozenset({4}), make_adversary("flip_forwarding")
-    seed_sets = [frozenset(range(5)) - {v} for v in range(4)]
+    engine = Engine(g, 2)
+    seed_sets = [frozenset(s) for k in range(6) for s in itertools.combinations(range(5), k)]
     rng = np.random.default_rng(7)
-    for _ in range(3):
+    for fset, name in [({4}, "flip_forwarding"), ({4}, "split_persona"), ({1, 3}, "split_persona")]:
+        faulty, adv = frozenset(fset), make_adversary(name)
+        table = None
         for seeds in seed_sets:
             gamma = tuple(rng.integers(0, 2, 5).tolist())
             got = engine._flood(seeds, gamma, faulty, adv)
             assert np.array_equal(got, flood_records(engine.tu, seeds, gamma, faulty, adv))
-    assert list(engine._cache["floods"][1]) == seed_sets[:2]
+            assert list(engine._cache) == ["floods"]
+            key, current = engine._cache["floods"]
+            assert key == (faulty, adv.key)
+            assert current.nbytes == engine.tu.size
+            assert table is None or current is table
+            table = current
+    engine.run([0, 2], {v: v % 2 for v in range(5)}, "constant-0")
+    key, current = engine._cache["floods"]
+    assert key == (frozenset({0, 2}), ("constant-0",))
+    assert current.nbytes == engine.tu.size
 
 
 @settings(max_examples=100, deadline=None)
