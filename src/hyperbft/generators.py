@@ -206,18 +206,7 @@ def sample_condition_passing(
     count: int, n_max: int, f: int, seed: int, max_tries: int = 20000
 ) -> list[tuple[DirectedHypergraph, ConditionReport]]:
     """Deterministically collect graphs that satisfy the feasibility condition."""
-    found: list[tuple[DirectedHypergraph, ConditionReport]] = []
-    stream = _random_candidates(n_max, f, seed)
-    for _ in range(max_tries):
-        if len(found) >= count:
-            break
-        g = next(stream)
-        report = check_lcr_hyper(g, f)
-        if report.holds:
-            found.append((g, report))
-    if len(found) < count:
-        raise RuntimeError(f"found only {len(found)} passing graphs in {max_tries} tries")
-    return found
+    return _sample_condition(True, count, n_max, f, seed, max_tries)
 
 
 def sample_condition_violating(
@@ -225,6 +214,14 @@ def sample_condition_violating(
 ) -> list[tuple[DirectedHypergraph, ConditionReport]]:
     """Deterministically collect graphs that violate the feasibility condition,
     with their witness reports."""
+    return _sample_condition(False, count, n_max, f, seed, max_tries)
+
+
+def _sample_condition(
+    holds: bool, count: int, n_max: int, f: int, seed: int, max_tries: int
+) -> list[tuple[DirectedHypergraph, ConditionReport]]:
+    """The first ``count`` graphs of the candidate stream whose condition
+    report ``holds`` as asked, within ``max_tries`` draws."""
     found: list[tuple[DirectedHypergraph, ConditionReport]] = []
     stream = _random_candidates(n_max, f, seed)
     for _ in range(max_tries):
@@ -232,8 +229,9 @@ def sample_condition_violating(
             break
         g = next(stream)
         report = check_lcr_hyper(g, f)
-        if not report.holds:
+        if report.holds == holds:
             found.append((g, report))
     if len(found) < count:
-        raise RuntimeError(f"found only {len(found)} violating graphs in {max_tries} tries")
+        kind = "passing" if holds else "violating"
+        raise RuntimeError(f"found only {len(found)} {kind} graphs in {max_tries} tries")
     return found

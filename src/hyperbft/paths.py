@@ -191,32 +191,14 @@ def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | N
     by the lexicographically least (hyperedge id, next node) sequence.
 
     Returns the empty tuple when u == v, None when v is unreachable.  A pure
-    function of the graph, so every caller derives the same path.
+    function of the graph, so every caller derives the same path.  A
+    breadth-first search back from ``v`` gives each node's distance to it,
+    and the path walks down those distances.
     """
     if u == v:
         return ()
     if u not in g.nodes or v not in g.nodes:
         return None
-    return _trace(g, _distances_to(g, v), u, v)
-
-
-def canonical_paths_to(g: DirectedHypergraph, sources, v: int, within: int = -1) -> dict:
-    """``canonical_path(g.induced(W), u, v)`` for every u in ``sources``
-    and a ``v`` in W, where W holds the nodes whose bits are set in
-    ``within`` (all of them by default), from one breadth-first search back
-    from ``v`` that never leaves W.  A source outside W gets None.  The
-    simulator passes G itself and a phase's source component S of G - F:
-    no arc of G - F enters S, so a path of G - F between nodes of S stays
-    in S."""
-    if v not in g.nodes:
-        return {u: () if u == v else None for u in sources}
-    dist = _distances_to(g, v, within)
-    return {u: _trace(g, dist, u, v) for u in sources}
-
-
-def _distances_to(g: DirectedHypergraph, v: int, within: int = -1) -> dict[int, int]:
-    """The hop distance to ``v`` of every node that reaches it through the
-    nodes of ``within`` (node bits)."""
     bit = g.bit_of
     order = g.node_order
     inm = g.in_masks
@@ -227,7 +209,7 @@ def _distances_to(g: DirectedHypergraph, v: int, within: int = -1) -> dict[int, 
         d += 1
         nxt = []
         for w in frontier:
-            m = inm[bit[w]] & within
+            m = inm[bit[w]]
             while m:
                 low = m & -m
                 m ^= low
@@ -236,11 +218,6 @@ def _distances_to(g: DirectedHypergraph, v: int, within: int = -1) -> dict[int, 
                     dist[x] = d
                     nxt.append(x)
         frontier = nxt
-    return dist
-
-
-def _trace(g: DirectedHypergraph, dist: dict[int, int], u: int, v: int) -> tuple[int, ...] | None:
-    """The canonical path from ``u`` down the distances ``dist`` to ``v``."""
     if u not in dist:
         return None
     path: list[int] = []

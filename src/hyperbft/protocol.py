@@ -24,16 +24,19 @@ Flooding is modeled exactly: a record is a simple trail (origin; e1...ek)
 whose value is transformed at every hop by the transmitting node - honestly
 for non-faulty nodes, by the adversary's rule for faulty ones.  A missing
 record is read as 1 at every decision point.  The engine precomputes the
-trail universe per graph.  Since an adversary's forward rule is a fixed map
-on {0, 1}, ``flood_records`` evaluates a flood in closed form (each trail's
-origin emission, mapped once per faulty forwarder).  A record's value thus
-depends only on its origin's state: an honest flood takes each origin's
-state along its trails.  With deviating nodes the engine keeps one table
-per (fault set, adversary), whatever the seed set: each trail's value for
-an origin seeded with 0, seeded with 1 or unseeded, packed in one byte and
-built from two closed-form floods with every node seeded, on all-0 and
-all-1 states.  Each flood is then one ``take`` over the trails' origins
-and two shifts.
+trail universe per graph.  Its trail ids run by length, then by (origin,
+e1, w1, e2, w2, ...), w_i being the tail of e_i that transmits e_{i+1}:
+the tie order of canonical paths, so step (c)'s canonical trails are the
+least trail ids a node receives through S.  Since an adversary's forward
+rule is a fixed map on {0, 1}, ``flood_records`` evaluates a flood in
+closed form (each trail's origin emission, mapped once per faulty
+forwarder).  A record's value thus depends only on its origin's state: an
+honest flood takes each origin's state along its trails.  With deviating
+nodes the engine keeps one table per (fault set, adversary), whatever the
+seed set: each trail's value for an origin seeded with 0, seeded with 1 or
+unseeded, packed in one byte and built from two closed-form floods with
+every node seeded, on all-0 and all-1 states.  Each flood is then one
+``take`` over the trails' origins and two shifts.
 Repeated runs (sweeps over inputs, fault sets, and adversaries) are thus
 cheap.  Phase transitions are memoized on the full state vector, and step
 (d)'s propagation test on the split and the Z/N sorting.
@@ -53,7 +56,7 @@ import numpy as np
 
 from .conditions import require_fault_bound, subsets_by_cardinality
 from .hypergraph import DirectedHypergraph
-from .paths import canonical_paths_to, packs_sorted, propagates_bits
+from .paths import packs_sorted, propagates_bits
 from .splitting import _MASK_BITS, SplitLayout, split_layout
 
 ABSENT = -1
@@ -192,15 +195,22 @@ class TrailUniverse:
     the trail one channel shorter, comes first).
 
     A trail is simple: no node transmits twice.  ``tmask`` holds each
-    trail's transmitters as node bits.  The simulator and the necessity
-    harness's carrier both read this one universe.  A graph with more than
-    ``MAX_TRAILS`` trails raises ValueError before any trail is built
-    (``_count_trails``).
+    trail's transmitters as node bits, and ``relays`` the same bits without
+    the origin's.  The simulator and the necessity harness's carrier both
+    read this one universe.  A graph with more than ``MAX_TRAILS`` trails
+    raises ValueError before any trail is built (``_count_trails``).
+
+    Trail ids run by length first and, within a length, lexicographically
+    by (origin, e1, w1, e2, w2, ...), where w_i is the tail of e_i that
+    transmits e_{i+1}: the tie order of ``paths.canonical_path``.  So of
+    the trails a node receives from one origin with every transmitter in a
+    node set W, the least id is the canonical path within W.
 
     The receive lists are one int32 array, ``received``, in node order:
     the node of bit i receives ``received[received_at[i]:received_at[i + 1]]``,
-    by (length, tmask) and then by trail id, and ``receives[v]`` is a view
-    of v's run, not a copy.  Nothing else is stored per receive."""
+    by (length, tmask) and then by trail id.  ``receiver``,
+    ``received_mask`` and ``received_origin`` hold each entry's receiver
+    bit, transmitter mask and origin bit, which every phase build reads."""
 
     def __init__(self, g: DirectedHypergraph):
         bit = g.bit_of
@@ -212,19 +222,14 @@ class TrailUniverse:
         edges: list[int] = []
         tmask: list[int] = []
         first_edge: list[int] = []
-        trail_of: list[tuple[int, ...]] = []
-        index: dict[tuple[int, tuple[int, ...]], int] = {}
 
         for u in g.node_order:
             for e in g.head_edges(u):
-                tid = len(origins)
                 origins.append(u)
                 parents.append(-1)
                 edges.append(e.id)
                 tmask.append(1 << bit[u])
                 first_edge.append(e.id)
-                trail_of.append((e.id,))
-                index[(u, (e.id,))] = tid
 
         lo, hi = 0, len(origins)
         layers = []
@@ -237,57 +242,57 @@ class TrailUniverse:
                     if pmask & wb:
                         continue
                     for e2 in g.head_edges(w):
-                        tid = len(origins)
                         origins.append(origins[ptid])
                         parents.append(ptid)
                         edges.append(e2.id)
                         tmask.append(pmask | wb)
                         first_edge.append(first_edge[ptid])
-                        te = trail_of[ptid] + (e2.id,)
-                        trail_of.append(te)
-                        index[(origins[ptid], te)] = tid
             lo, hi = hi, len(origins)
 
         self.g = g
         self.size = len(origins)
-        self.index = index
         self.layers = tuple(layers)     # (first, end) trail ids of each trail length
-        self.trail_of = trail_of        # trail id -> its channel ids, in order
         self.origin = np.array(origins, dtype=np.int32)
         self.parent = np.array(parents, dtype=np.int32)
         self.edge = np.array(edges, dtype=np.int32)
         self.tmask = np.array(tmask, dtype=np.int64)
         self.first_edge = np.array(first_edge, dtype=np.int32)
+        origin_bit = np.left_shift(np.int64(1), self.origin.astype(np.int64))
+        self.relays = self.tmask ^ origin_bit
         self.max_edge_id = max((e.id for e in g.edges), default=-1)
         # channel id -> its head (unused ids point at node 0 and are never read)
         self.edge_head = np.zeros(self.max_edge_id + 1, dtype=np.int32)
         for e in g.edges:
             self.edge_head[e.id] = e.head
-
-        # received[received_at[i]:received_at[i + 1]]: the trails the node of
-        # bit i receives, by (length, tmask), then by id; receives[v] is a
-        # view of v's run.  A trail's length is its popcount in tmask, so any
-        # selection of them keeps equal masks adjacent and sparse masks
-        # first.  One nonzero over the tail bits of each trail's last
-        # channel, in that order and transposed, lists them receiver by
-        # receiver.
-        length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
-        order = np.lexsort((self.tmask, length))
-        tail_bits = np.zeros((self.max_edge_id + 1, len(bit)), dtype=bool)
-        tail_bits[
+        # tail_bits[e, i]: the node of bit i is a tail of channel e
+        self.tail_bits = np.zeros((self.max_edge_id + 1, len(bit)), dtype=bool)
+        self.tail_bits[
             [e for e, ts in tails_of.items() for _ in ts],
             [bit[w] for ts in tails_of.values() for w in ts],
         ] = True
-        receiver, at = np.nonzero(tail_bits[self.edge[order]].T)
-        self.received = order[at].astype(np.int32)
-        self.received_at = np.searchsorted(receiver, np.arange(len(bit) + 1))
-        bounds = self.received_at.tolist()
-        self.receives = {
-            v: self.received[bounds[i]:bounds[i + 1]] for i, v in enumerate(g.node_order)
-        }
 
-    def tid(self, origin: int, trail: tuple[int, ...]) -> int | None:
-        return self.index.get((origin, trail))
+        # received[received_at[i]:received_at[i + 1]]: the trails the node of
+        # bit i receives, by (length, tmask), then by id.  A trail's length
+        # is its popcount in tmask, so any selection of them keeps equal
+        # masks adjacent and sparse masks first.  One nonzero over the tail
+        # bits of each trail's last channel, in that order and transposed,
+        # lists them receiver by receiver.
+        length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
+        order = np.lexsort((self.tmask, length))
+        self.receiver, at = np.nonzero(self.tail_bits[self.edge[order]].T)
+        self.received = order[at].astype(np.int32)
+        self.received_at = np.searchsorted(self.receiver, np.arange(len(bit) + 1))
+        self.received_mask = self.tmask[self.received]
+        self.received_origin = origin_bit[self.received]
+
+    @cached_property
+    def trail_of(self) -> list[tuple[int, ...]]:
+        """Trail id -> its channel ids, in order: its parent's and then its
+        own last channel."""
+        trails: list[tuple[int, ...]] = []
+        for p, e in zip(self.parent.tolist(), self.edge.tolist()):
+            trails.append(trails[p] + (e,) if p >= 0 else (e,))
+        return trails
 
     @cached_property
     def edge_used(self) -> np.ndarray:
@@ -436,8 +441,18 @@ class PhaseData:
 def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int]) -> PhaseData:
     """One phase's ``PhaseData``, read off G and its trail universe with F
     masked out rather than off a graph G - F: S is the one source component
-    of G minus F's bits, and since no arc of G - F enters S, every canonical
-    path between nodes of S is G's canonical path within S.
+    of G minus F's bits, and no arc of G - F enters S.
+
+    Canonical trails are least trail ids, since trail ids follow
+    ``canonical_path``'s tie order (``TrailUniverse``).  v's canonical
+    trail from u in S is the least id v receives from u with every
+    transmitter in S; through fault channel e, the least id v receives
+    whose first channel is e and whose other transmitters lie in S.  Only
+    an origin in S or F reaches S that way, and neither trail has more than
+    |S| channels.  Those trails are scattered to their receivers with a
+    minimum under two keys, their origin and their first channel's layout
+    slot; only receivers in S, origins in S and slots are read back, and a
+    trail from S starts on no channel of F.
 
     The candidate tables of all nodes come from one pass over the
     universe's receive array: each receiver's avoid mask and origin mask are
@@ -445,6 +460,7 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     equal transmitter masks starts wherever the mask or the receiver
     changes, and each node's ``Candidates`` are sliced out of the result."""
     bit = g.bit_of
+    nbits = len(bit)
     fmask = g.mask_of(fset)
     sources = g.source_components_without(fmask)
     layout = split_layout(g, fset, fset)
@@ -455,31 +471,29 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     nfs = g.in_neighborhood(fset, source)
     in_s = sorted(source)
 
-    slots = [
-        (eid, g.edge_by_id[eid].head, sorted(g.edge_by_id[eid].tails & source))
-        for eid, _, _, _ in layout.slots
-    ]
-    cpath_f = {}
-    cpath_s = {}
-    for v in in_s:
-        paths = canonical_paths_to(g, in_s, v, smask)
-        cpath_s[v] = tuple(
-            (1 << bit[u], None if paths[u] is None else tu.tid(u, paths[u]))
-            for u in in_s if u != v
-        )
-        # v's canonical trail through a fault channel, in S plus that channel,
-        # is the channel and then the canonical path from its tail in S
-        # nearest to v (least id on ties).
-        through = []
-        for eid, u, tails in slots:
-            near = [(len(paths[w]), w) for w in tails if paths[w] is not None]
-            through.append(tu.tid(u, (eid,) + paths[min(near)[1]]) if near else None)
-        cpath_f[v] = tuple(through)
-
     # slot_of[edge id] -> its layout slot; the extra last entry maps -1 to -1
     slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
     for j, (eid, _, _, _) in enumerate(layout.slots):
         slot_of[eid] = j
+
+    # least[i, k]: the least trail id the node of bit i receives under key
+    # k: an origin's bit (k < n), or a first channel's layout slot j
+    # (k = n + 1 + j; k = n for a channel in no slot)
+    end = tu.layers[min(len(in_s), len(tu.layers)) - 1][1] if tu.layers else 0
+    kept = ((tu.relays[:end] & np.int64(~smask)) == 0).nonzero()[0]
+    which, row = tu.tail_bits[tu.edge[kept]].nonzero()
+    kept = kept[which]
+    least = np.full((nbits, nbits + 1 + len(layout.slots)), tu.size, dtype=np.int64)
+    np.minimum.at(least, (row, tu.origin[kept]), kept)
+    slot = np.add(slot_of[tu.first_edge[kept]], nbits + 1, dtype=np.intp)
+    np.minimum.at(least, (row, slot), kept)
+    least = least.tolist()
+    cpath_s = {}
+    cpath_f = {}
+    for v in in_s:
+        found = [t if t < tu.size else None for t in least[bit[v]]]
+        cpath_s[v] = tuple((1 << bit[u], found[bit[u]]) for u in in_s if u != v)
+        cpath_f[v] = tuple(found[nbits + 1:])
 
     # Per receiver: the transmitters its trails must avoid and the origins
     # they may start at.  Step (d) (v in S) keeps trails from S u N(F, S);
@@ -497,13 +511,13 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
         [seeds_mask if v in source else 0 if v in fset else smask for v in g.node_order],
         dtype=np.int64,
     )
-    at = tu.received_at
-    receiver = np.repeat(np.arange(len(avoid)), at[1:] - at[:-1])
-    tids = tu.received
-    masks = tu.tmask[tids]
-    obits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
-    keep = (((masks & avoid[receiver]) == 0) & ((obits & origins[receiver]) != 0)).nonzero()[0]
-    tids, masks, obits, receiver = tids[keep], masks[keep], obits[keep], receiver[keep]
+    receiver = tu.receiver
+    keep = (
+        ((tu.received_mask & avoid[receiver]) == 0)
+        & ((tu.received_origin & origins[receiver]) != 0)
+    ).nonzero()[0]
+    tids, masks = tu.received[keep], tu.received_mask[keep]
+    obits, receiver = tu.received_origin[keep], receiver[keep]
     # a run of equal masks starts where the mask or the receiver changes
     first = np.ones(len(keep), dtype=bool)
     np.not_equal(masks[1:], masks[:-1], out=first[1:])

@@ -253,12 +253,3 @@ def split_layouts(
     xs = list(split_sets(fault_set))
     return zip(xs, _layouts(g, fault_set, xs))
 
-
-def collapse(sh: SplitHypergraph) -> DirectedHypergraph:
-    """Undo a split: merge copies back onto their original node."""
-    omap = sh.origin_map
-    edges = tuple(
-        Hyperedge(e.id, omap[e.head], frozenset(omap[t] for t in e.tails))
-        for e in sh.graph.edges
-    )
-    return DirectedHypergraph(sh.base.n, edges, sh.base.nodes)

@@ -668,9 +668,11 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
     bit = g.bit_of
     fset, source = ph.fault_set, ph.source
     reduced = g.remove_nodes(fset)
+    tid_of = {(int(o), trail): t for t, (o, trail) in enumerate(zip(tu.origin, tu.trail_of))}
+    at = tu.received_at
 
     def candidates(avoid: int, origins) -> np.ndarray:
-        tids = tu.receives[v]
+        tids = tu.received[at[bit[v]]:at[bit[v] + 1]]
         origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
         return tids[((tu.tmask[tids] & avoid) == 0) & ((origin_bits & g.mask_of(origins)) != 0)]
 
@@ -701,7 +703,7 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
     for i, (eid, _, _, _) in enumerate(layout.slots):
         u = g.edge_by_id[eid].head
         path = canonical_path(g.induced_with_edges(source, (eid,)), u, v)
-        tid = None if path is None else tu.tid(u, path)
+        tid = None if path is None else tid_of.get((u, path))
         side = 0 if (tid is not None and vals[tid] == 0) else 1
         side_of_edge[eid] = side
         sides |= side << i
@@ -715,7 +717,7 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
             received0 = own_gamma == 0
         else:
             path = canonical_path(reduced, u, v)
-            tid = None if path is None else tu.tid(u, path)
+            tid = None if path is None else tid_of.get((u, path))
             received0 = tid is not None and vals[tid] == 0
         if received0:
             zmask |= 1 << bit[u]

@@ -247,9 +247,11 @@ def test_phase_trails_are_the_canonical_paths(n, m, f, seed) -> None:
     engine = Engine(g, f)
     tu = engine.tu
 
+    tid_of = {(int(o), trail): t for t, (o, trail) in enumerate(zip(tu.origin, tu.trail_of))}
+
     def tid(sub, u, v):
         path = canonical_path(sub, u, v)
-        return None if path is None else tu.tid(u, path)
+        return None if path is None else tid_of.get((u, path))
 
     for ph in engine.phases:
         if ph.source is None:
@@ -314,9 +316,11 @@ def test_one_pass_candidates_match_the_per_node_filter(n, m, f, seed) -> None:
     g = random_hypergraph(n, m, seed, max_tail_size=3)
     engine = Engine(g, f)
     tu = engine.tu
+    at = tu.received_at
     for v, want in receives_reference(tu).items():
-        assert tu.receives[v].dtype == want.dtype and np.array_equal(tu.receives[v], want), v
-        assert tu.receives[v].base is tu.received, v
+        got = tu.received[at[g.bit_of[v]]:at[g.bit_of[v] + 1]]
+        assert got.dtype == want.dtype and np.array_equal(got, want), v
+        assert got.base is tu.received, v
     for ph in engine.phases:
         if ph.source is None:
             continue
@@ -461,6 +465,39 @@ def test_mask_bit_budget_is_enforced_before_building() -> None:
     with pytest.raises(ValueError, match="n \\+ 2f = 64"):
         Engine(cycle_local_broadcast(64), 0)
     assert len(Engine(DirectedHypergraph(60, []), 1).phases) == 61  # n + 2f = 62 fits
+
+
+def test_channel_less_graphs_trace_nothing() -> None:
+    """A graph with no channel has an empty trail universe.  One node
+    decides alone, and two nodes at f = 1 run a phase for each one-node
+    source component, where that node traces no trail."""
+    assert run_scenario(DirectedHypergraph(1, ()), 0, [], {0: 0}).ok
+    assert [ph.cpath_s for ph in get_engine(DirectedHypergraph(1, ()), 0).phases] == [{0: ()}]
+    engine = Engine(DirectedHypergraph(2, ()), 1)
+    assert engine.tu.size == 0
+    assert [ph.cpath_s for ph in engine.phases] == [{}, {1: ()}, {0: ()}]
+    assert [ph.cpath_f for ph in engine.phases] == [{}, {1: ()}, {0: ()}]
+    for faulty, adversary in itertools.product(([0], [1]), ADVERSARY_NAMES):
+        for inputs in all_inputs(2):
+            assert engine.run(faulty, inputs, adversary).ok, (faulty, adversary, inputs)
+    # with nobody faulty there is no channel to agree over
+    assert not engine.run([], {0: 0, 1: 1}).agreement
+
+
+def test_trail_universe_holds_no_per_trail_objects() -> None:
+    """A trail universe keeps arrays, not a Python object per trail: what
+    building complete_p2p(7)'s 82,194 trails leaves allocated stays under
+    8 MiB, where a tuple and a dict entry per trail held about 19 MiB."""
+    g = complete_p2p(7)
+    g.bit_of, g.head_edges(0)   # warm the graph's lazy tables, which outlive the build
+    tracemalloc.start()
+    try:
+        tu = TrailUniverse(g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tu.size == 82_194
+    assert held < 8 << 20
 
 
 def test_trail_universe_stops_past_the_trail_limit(monkeypatch) -> None:
