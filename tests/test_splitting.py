@@ -105,6 +105,18 @@ def test_lambda_enumeration_matches_cardinality(g, pivot: int) -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(small_graphs(), st.integers(min_value=0, max_value=4))
+def test_collapse_inverts_every_split(g, pivot: int) -> None:
+    """Merging every copy back onto its original node gives back g's edges."""
+    fault_set = {v for v in g.nodes if v <= pivot}
+    for sh in enumerate_lambda(g, fault_set):
+        omap = sh.origin_map
+        assert {
+            (e.id, omap[e.head], frozenset(omap[t] for t in e.tails)) for e in sh.graph.edges
+        } == {(e.id, e.head, e.tails) for e in g.edges}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.integers(min_value=0, max_value=4))
 def test_split_graph_structure_invariants(g, pivot: int) -> None:
     fault_set = {v for v in g.nodes if v <= pivot}
     for sh in enumerate_lambda(g, fault_set):
@@ -119,11 +131,8 @@ def test_split_graph_structure_invariants(g, pivot: int) -> None:
         }
         # carried fault set per its definition
         assert sh.f_prime == (sh.graph.nodes & sh.fault_set) | (sh.graph.nodes - g.nodes)
-        # merging every copy back onto its original node gives back g's edges
-        omap = sh.origin_map
-        assert {
-            (e.id, omap[e.head], frozenset(omap[t] for t in e.tails)) for e in sh.graph.edges
-        } == {(e.id, e.head, e.tails) for e in g.edges}
+        # edge ids preserved
+        assert {e.id for e in sh.graph.edges} == {e.id for e in g.edges}
 
 
 @settings(max_examples=60, deadline=None)
