@@ -586,10 +586,6 @@ def _canonical_ab_partition(sh: SplitHypergraph, f: int) -> tuple[int, Partition
 # top-level checkers
 
 
-def _partition_base(condition: str) -> int:
-    return 3 if condition == LCR else 2
-
-
 def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     """The reference AB detector over a batch, one split graph at a time:
     the index of the first violating row, or -1."""
@@ -598,12 +594,19 @@ def _ab_batch_violated(out_bits, m: int, fprime: int, f: int) -> int:
     )
 
 
-def _detector(condition: str):
-    if condition == LCR:
-        return _lcr_split_violated
-    if condition == AB:
-        return _ab_batch_violated
-    raise ValueError(f"unknown condition {condition!r}")
+def _condition(condition: str):
+    """The condition table: condition -> (detector, canonical partition,
+    partition base).  The detector decides a batch of split graphs, the
+    canonical partition rescans a violating one, and a split graph of m
+    nodes has base ** m labellings.  The table is built per call, so it
+    holds the functions the module names at that time."""
+    table = {
+        LCR: (_lcr_split_violated, _canonical_lcr_partition, 3),
+        AB: (_ab_batch_violated, _canonical_ab_partition, 2),
+    }
+    if condition not in table:
+        raise ValueError(f"unknown condition {condition!r}")
+    return table[condition]
 
 
 def _scan_fault_set(
@@ -630,9 +633,7 @@ def _scan_fault_set(
     and so does a split node with more than ``MAX_SPLIT_PAIRS`` distinct
     pairs.
     """
-    detect = _detector(condition)
-    canonical = _canonical_lcr_partition if condition == LCR else _canonical_ab_partition
-    base = _partition_base(condition)
+    detect, canonical, base = _condition(condition)
 
     def violated(layout: SplitLayout, groups, fixed: dict[int, int]) -> bool:
         return any(

@@ -268,32 +268,6 @@ class DirectedHypergraph:
     def remove_nodes(self, x: Iterable[int]) -> "DirectedHypergraph":
         return self.induced(self.nodes - frozenset(x))
 
-    def induced_with_edges(
-        self, u: Iterable[int], extra_edge_ids: Iterable[int]
-    ) -> "DirectedHypergraph":
-        """Restriction to ``u`` plus the listed hyperedges kept whole.
-
-        The node set grows by the endpoints of the extra edges.  If an extra
-        edge would also appear (restricted) in the induced part, the whole
-        edge wins."""
-        uset = frozenset(u)
-        extra_ids = set(extra_edge_ids)
-        by_id = self.edge_by_id
-        nodes = set(uset)
-        for eid in extra_ids:
-            e = by_id[eid]
-            nodes.add(e.head)
-            nodes.update(e.tails)
-        edges = []
-        for e in self.edges:
-            if e.id in extra_ids:
-                edges.append(e)
-            elif e.head in uset:
-                t = e.tails & uset
-                if t:
-                    edges.append(Hyperedge(e.id, e.head, t))
-        return DirectedHypergraph(self.n, tuple(edges), frozenset(nodes))
-
     # -- decomposition -------------------------------------------------------
 
     @cached_property

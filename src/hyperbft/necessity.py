@@ -298,10 +298,11 @@ def _run_carrier(carrier: Carrier):
     # A carrier trail is its last carrier channel plus a base trail ending on
     # that channel's base channel, relayed back by one chain of copies.
     copies = carrier.copies
-    base_edge = carrier.base_edge
+    # base[ce]: carrier channel ce's base channel, by the universe's index
+    base = {ce: tu.channel_index[e] for ce, e in carrier.base_edge.items()}
+    channels = len(tu.channel_ids)
     per_channel = np.bincount(
-        np.fromiter(base_edge.values(), dtype=np.int64, count=len(base_edge)),
-        minlength=tu.max_edge_id + 1,
+        np.fromiter(base.values(), dtype=np.intp, count=len(base)), minlength=channels
     )
     trails = int(per_channel[tu.edge].sum())
     if trails * len(phases) > MAX_CARRIER_RECORDS:
@@ -310,11 +311,11 @@ def _run_carrier(carrier: Carrier):
             f"renders at most {MAX_CARRIER_RECORDS} carrier trails x phases"
         )
 
-    # feed[c, e]: the copy whose transmission on base channel e copy c hears,
+    # feed[c, i]: the copy whose transmission on base channel i copy c hears,
     # -1 for none; the last row is a sentinel of -1s, which index -1 reads.
-    feed = np.full((len(copies) + 1, tu.max_edge_id + 1), -1, dtype=np.int32)
+    feed = np.full((len(copies) + 1, channels), -1, dtype=np.int32)
     for ce in carrier.graph.edges:
-        feed[list(ce.tails), base_edge[ce.id]] = ce.head
+        feed[list(ce.tails), base[ce.id]] = ce.head
     # origin[c, t]: the copy that originated the carrier record of base trail
     # t that copy c receives, -1 for none: c's feed on the trail's last
     # channel received the trail's parent from origin[feed, parent].

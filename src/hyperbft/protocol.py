@@ -24,19 +24,24 @@ Flooding is modeled exactly: a record is a simple trail (origin; e1...ek)
 whose value is transformed at every hop by the transmitting node - honestly
 for non-faulty nodes, by the adversary's rule for faulty ones.  A missing
 record is read as 1 at every decision point.  The engine precomputes the
-trail universe per graph.  Its trail ids run by length, then by (origin,
-e1, w1, e2, w2, ...), w_i being the tail of e_i that transmits e_{i+1}:
-the tie order of canonical paths, so step (c)'s canonical trails are the
-least trail ids a node receives through S.  Since an adversary's forward
-rule is a fixed map on {0, 1}, ``flood_records`` evaluates a flood in
-closed form (each trail's origin emission, mapped once per faulty
-forwarder).  A record's value thus depends only on its origin's state: an
-honest flood takes each origin's state along its trails.  With deviating
-nodes the engine keeps one table per (fault set, adversary), whatever the
-seed set: each trail's value for an origin seeded with 0, seeded with 1 or
-unseeded, packed in one byte and built from two closed-form floods with
-every node seeded, on all-0 and all-1 states.  Each flood is then one
-``take`` over the trails' origins and two shifts.
+trail universe per graph, which fixes one dense numbering: node v is bit v
+(the simulator needs node ids 0..n-1), and channel i is the i-th channel by
+id, so every per-channel table is sized by the channel count, whatever the
+ids.  Channel ids appear only where a reader sees them: reception logs,
+adversary emissions and split-layout slots.  Trail ids run by length,
+then by (origin, e1, w1, e2, w2, ...), w_i being the tail of e_i that
+transmits e_{i+1}: the tie order of canonical paths, so step (c)'s
+canonical trails are the least trail ids a node receives through S.
+Since an adversary's forward rule is a fixed map on {0, 1},
+``flood_records`` evaluates a flood in closed form (each trail's origin
+emission, mapped once per faulty forwarder).  A record's value thus
+depends only on its origin's state: an honest flood takes each origin's
+state along its trails.  With deviating nodes the engine keeps one table
+per (fault set, adversary), whatever the seed set: each trail's value for
+an origin seeded with 0, seeded with 1 or unseeded, packed in one byte and
+built from two closed-form floods with every node seeded, on all-0 and
+all-1 states.  Each flood is then one ``take`` over the trails' origins
+and two shifts.
 Repeated runs (sweeps over inputs, fault sets, and adversaries) are thus
 cheap.  Phase transitions are memoized on the full state vector, and step
 (d)'s propagation test on the split and the Z/N sorting.
@@ -45,7 +50,6 @@ cheap.  Phase transitions are memoized on the full state vector, and step
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -194,6 +198,14 @@ class TrailUniverse:
     """Every forwarding trail of a graph, in BFS order (a trail's parent,
     the trail one channel shorter, comes first).
 
+    The universe owns the simulator's numbering.  Node v is bit v, so the
+    graph's nodes must be 0..n-1.  Channel i is the i-th channel by id:
+    ``channel_ids`` maps an index to its id, ``channel_index`` an id to its
+    index, and ``head_channels[v]`` lists the channels v heads, ascending.
+    ``edge``, ``first_edge`` and ``edge_used`` hold channel indices, and
+    every per-channel table is sized by the channel count, whatever the
+    ids; ``trail_of`` lists channel ids.
+
     A trail is simple: no node transmits twice.  ``tmask`` holds each
     trail's transmitters as node bits, and ``relays`` the same bits without
     the origin's.  The simulator and the necessity harness's carrier both
@@ -207,15 +219,23 @@ class TrailUniverse:
     node set W, the least id is the canonical path within W.
 
     The receive lists are one int32 array, ``received``, in node order:
-    the node of bit i receives ``received[received_at[i]:received_at[i + 1]]``,
+    node v receives ``received[received_at[v]:received_at[v + 1]]``,
     by (length, tmask) and then by trail id.  ``receiver``,
-    ``received_mask`` and ``received_origin`` hold each entry's receiver
-    bit, transmitter mask and origin bit, which every phase build reads."""
+    ``received_mask`` and ``received_origin`` hold each entry's receiver,
+    transmitter mask and origin bit, which every phase build reads."""
 
     def __init__(self, g: DirectedHypergraph):
-        bit = g.bit_of
-        tails_of = {e.id: e.sorted_tails() for e in g.edges}
-        if _count_trails(g, tails_of) > MAX_TRAILS:
+        if g.nodes != frozenset(range(g.n)):
+            raise ValueError("the simulator needs node ids 0..n-1")
+        channels = sorted(g.edges, key=lambda e: e.id)
+        self.channel_ids = tuple(e.id for e in channels)
+        self.channel_index = {eid: i for i, eid in enumerate(self.channel_ids)}
+        self.head_channels: list[list[int]] = [[] for _ in range(g.n)]
+        for i, e in enumerate(channels):
+            self.head_channels[e.head].append(i)
+        heads = self.head_channels
+        tails = [e.sorted_tails() for e in channels]
+        if _count_trails(heads, tails) > MAX_TRAILS:
             raise ValueError(f"the graph has more than {MAX_TRAILS} simple trails")
         origins: list[int] = []
         parents: list[int] = []
@@ -223,13 +243,13 @@ class TrailUniverse:
         tmask: list[int] = []
         first_edge: list[int] = []
 
-        for u in g.node_order:
-            for e in g.head_edges(u):
+        for u in range(g.n):
+            for i in heads[u]:
                 origins.append(u)
                 parents.append(-1)
-                edges.append(e.id)
-                tmask.append(1 << bit[u])
-                first_edge.append(e.id)
+                edges.append(i)
+                tmask.append(1 << u)
+                first_edge.append(i)
 
         lo, hi = 0, len(origins)
         layers = []
@@ -237,14 +257,14 @@ class TrailUniverse:
             layers.append((lo, hi))
             for ptid in range(lo, hi):
                 pmask = tmask[ptid]
-                for w in tails_of[edges[ptid]]:
-                    wb = 1 << bit[w]
+                for w in tails[edges[ptid]]:
+                    wb = 1 << w
                     if pmask & wb:
                         continue
-                    for e2 in g.head_edges(w):
+                    for i in heads[w]:
                         origins.append(origins[ptid])
                         parents.append(ptid)
-                        edges.append(e2.id)
+                        edges.append(i)
                         tmask.append(pmask | wb)
                         first_edge.append(first_edge[ptid])
             lo, hi = hi, len(origins)
@@ -259,46 +279,42 @@ class TrailUniverse:
         self.first_edge = np.array(first_edge, dtype=np.int32)
         origin_bit = np.left_shift(np.int64(1), self.origin.astype(np.int64))
         self.relays = self.tmask ^ origin_bit
-        self.max_edge_id = max((e.id for e in g.edges), default=-1)
-        # channel id -> its head (unused ids point at node 0 and are never read)
-        self.edge_head = np.zeros(self.max_edge_id + 1, dtype=np.int32)
-        for e in g.edges:
-            self.edge_head[e.id] = e.head
-        # tail_bits[e, i]: the node of bit i is a tail of channel e
-        self.tail_bits = np.zeros((self.max_edge_id + 1, len(bit)), dtype=bool)
+        self.edge_head = np.array([e.head for e in channels], dtype=np.int32)
+        # tail_bits[i, w]: node w is a tail of channel i
+        self.tail_bits = np.zeros((len(channels), g.n), dtype=bool)
         self.tail_bits[
-            [e for e, ts in tails_of.items() for _ in ts],
-            [bit[w] for ts in tails_of.values() for w in ts],
+            [i for i, ts in enumerate(tails) for _ in ts], [w for ts in tails for w in ts]
         ] = True
 
-        # received[received_at[i]:received_at[i + 1]]: the trails the node of
-        # bit i receives, by (length, tmask), then by id.  A trail's length
-        # is its popcount in tmask, so any selection of them keeps equal
-        # masks adjacent and sparse masks first.  One nonzero over the tail
-        # bits of each trail's last channel, in that order and transposed,
-        # lists them receiver by receiver.
+        # received[received_at[v]:received_at[v + 1]]: the trails node v
+        # receives, by (length, tmask), then by id.  A trail's length is its
+        # popcount in tmask, so any selection of them keeps equal masks
+        # adjacent and sparse masks first.  One nonzero over the tail bits of
+        # each trail's last channel, in that order and transposed, lists them
+        # receiver by receiver.
         length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
         order = np.lexsort((self.tmask, length))
         self.receiver, at = np.nonzero(self.tail_bits[self.edge[order]].T)
         self.received = order[at].astype(np.int32)
-        self.received_at = np.searchsorted(self.receiver, np.arange(len(bit) + 1))
+        self.received_at = np.searchsorted(self.receiver, np.arange(g.n + 1))
         self.received_mask = self.tmask[self.received]
         self.received_origin = origin_bit[self.received]
 
     @cached_property
     def trail_of(self) -> list[tuple[int, ...]]:
         """Trail id -> its channel ids, in order: its parent's and then its
-        own last channel."""
+        own last channel's."""
+        ids = self.channel_ids
         trails: list[tuple[int, ...]] = []
-        for p, e in zip(self.parent.tolist(), self.edge.tolist()):
-            trails.append(trails[p] + (e,) if p >= 0 else (e,))
+        for p, i in zip(self.parent.tolist(), self.edge.tolist()):
+            trails.append(trails[p] + (ids[i],) if p >= 0 else (ids[i],))
         return trails
 
     @cached_property
     def edge_used(self) -> np.ndarray:
-        """``edge_used[v, t]``: the channel node v transmitted on within
-        trail t, -1 if it did not.  A trail inherits its parent's column
-        and adds the head of its last channel."""
+        """``edge_used[v, t]``: the channel index node v transmitted on
+        within trail t, -1 if it did not.  A trail inherits its parent's
+        column and adds the head of its last channel."""
         used = np.full((self.g.n, self.size), -1, dtype=np.int32)
         heads = self.edge_head[self.edge]
         for lo, hi in self.layers:
@@ -308,28 +324,28 @@ class TrailUniverse:
         return used
 
 
-def _count_trails(g: DirectedHypergraph, tails_of) -> int:
+def _count_trails(heads: list[list[int]], tails: list[tuple[int, ...]]) -> int:
     """The number of simple trails ``TrailUniverse`` would build, or some
-    number past ``MAX_TRAILS``.  A trail extends by the same channels as any
-    other trail with its last channel and its transmitters, so each layer is
-    counted as (transmitter mask, last channel) states with multiplicities,
-    one int key each, and counting stops once the total passes
-    ``MAX_TRAILS``."""
-    bit = g.bit_of
-    shift = max((e.id for e in g.edges), default=0).bit_length()
-    layer = {(1 << bit[e.head]) << shift | e.id: 1 for e in g.edges}
+    number past ``MAX_TRAILS``, given each node's head channels and each
+    channel's tails (channel indices).  A trail extends by the same channels
+    as any other trail with its last channel and its transmitters, so each
+    layer is counted as (transmitter mask, last channel) states with
+    multiplicities, one int key each, and counting stops once the total
+    passes ``MAX_TRAILS``."""
+    shift = len(tails).bit_length()
+    layer = {1 << v << shift | i: 1 for v, own in enumerate(heads) for i in own}
     total = len(layer)
     low = (1 << shift) - 1
     while layer and total <= MAX_TRAILS:
         grown: dict[int, int] = {}
         for state, count in layer.items():
             mask = state >> shift
-            for w in tails_of[state & low]:
-                wb = 1 << bit[w]
+            for w in tails[state & low]:
+                wb = 1 << w
                 if mask & wb:
                     continue
-                for e2 in g.head_edges(w):
-                    key = (mask | wb) << shift | e2.id
+                for i in heads[w]:
+                    key = (mask | wb) << shift | i
                     grown[key] = grown.get(key, 0) + count
                     total += count
             if total > MAX_TRAILS:
@@ -368,13 +384,15 @@ def flood_records(
         return states.take(tu.origin)
     heads = tu.edge_head
     emission = states.take(heads)
-    bit = g.bit_of
     for w in faulty:
         if seeded[w]:
-            eids = np.array([e.id for e in g.head_edges(w)], dtype=np.int32)
-            emission[eids] = adversary.emit(w, int(garr[w]), np.arange(len(eids)), eids)
-    # table[c, e]: the value of a record whose first channel is e and whose
-    # trail has c faulty transmitters, a faulty origin (the head of e) included
+            own = tu.head_channels[w]
+            ids = [tu.channel_ids[i] for i in own]
+            # ids past int64 stay Python ints
+            eids = np.array(ids, dtype=np.int64 if max(ids, default=0) < 1 << 63 else object)
+            emission[own] = adversary.emit(w, int(garr[w]), np.arange(len(own)), eids)
+    # table[c, i]: the value of a record whose first channel is i and whose
+    # trail has c faulty transmitters, a faulty origin (the head of i) included
     step = np.array(
         [ABSENT] + [ABSENT if x is None else x for x in adversary.forward], dtype=np.int16
     )
@@ -387,7 +405,7 @@ def flood_records(
     table = [emission] + [
         np.where(origin_faulty, powers[c - 1], powers[c]) for c in range(1, len(powers))
     ]
-    count = sum((tu.tmask >> bit[w]) & 1 for w in faulty)
+    count = sum((tu.tmask >> w) & 1 for w in faulty)
     return np.concatenate(table).take(count * len(emission) + tu.first_edge)
 
 
@@ -459,8 +477,7 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     broadcast over its run, one keep mask filters the whole array, a run of
     equal transmitter masks starts wherever the mask or the receiver
     changes, and each node's ``Candidates`` are sliced out of the result."""
-    bit = g.bit_of
-    nbits = len(bit)
+    n = g.n
     fmask = g.mask_of(fset)
     sources = g.source_components_without(fmask)
     layout = split_layout(g, fset, fset)
@@ -471,29 +488,29 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     nfs = g.in_neighborhood(fset, source)
     in_s = sorted(source)
 
-    # slot_of[edge id] -> its layout slot; the extra last entry maps -1 to -1
-    slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
+    # slot_of[i]: channel i's layout slot; the extra last entry maps -1 to -1
+    slot_of = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int16)
     for j, (eid, _, _, _) in enumerate(layout.slots):
-        slot_of[eid] = j
+        slot_of[tu.channel_index[eid]] = j
 
-    # least[i, k]: the least trail id the node of bit i receives under key
-    # k: an origin's bit (k < n), or a first channel's layout slot j
-    # (k = n + 1 + j; k = n for a channel in no slot)
+    # least[v, k]: the least trail id node v receives under key k: an
+    # origin (k < n), or a first channel's layout slot j (k = n + 1 + j;
+    # k = n for a channel in no slot)
     end = tu.layers[min(len(in_s), len(tu.layers)) - 1][1] if tu.layers else 0
     kept = ((tu.relays[:end] & np.int64(~smask)) == 0).nonzero()[0]
     which, row = tu.tail_bits[tu.edge[kept]].nonzero()
     kept = kept[which]
-    least = np.full((nbits, nbits + 1 + len(layout.slots)), tu.size, dtype=np.int64)
+    least = np.full((n, n + 1 + len(layout.slots)), tu.size, dtype=np.int64)
     np.minimum.at(least, (row, tu.origin[kept]), kept)
-    slot = np.add(slot_of[tu.first_edge[kept]], nbits + 1, dtype=np.intp)
+    slot = np.add(slot_of[tu.first_edge[kept]], n + 1, dtype=np.intp)
     np.minimum.at(least, (row, slot), kept)
     least = least.tolist()
     cpath_s = {}
     cpath_f = {}
     for v in in_s:
-        found = [t if t < tu.size else None for t in least[bit[v]]]
-        cpath_s[v] = tuple((1 << bit[u], found[bit[u]]) for u in in_s if u != v)
-        cpath_f[v] = tuple(found[nbits + 1:])
+        found = [t if t < tu.size else None for t in least[v]]
+        cpath_s[v] = tuple((1 << u, found[u]) for u in in_s if u != v)
+        cpath_f[v] = tuple(found[n + 1:])
 
     # Per receiver: the transmitters its trails must avoid and the origins
     # they may start at.  Step (d) (v in S) keeps trails from S u N(F, S);
@@ -502,13 +519,10 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     # and v itself.  A node of F weighs no trail.
     seeds_b = source | nfs
     seeds_mask = g.mask_of(seeds_b)
-    updaters_f = tuple(v for v in g.node_order if v not in source and v not in fset)
-    avoid = np.array(
-        [1 << i | (0 if v in source else fmask) for i, v in enumerate(g.node_order)],
-        dtype=np.int64,
-    )
+    updaters_f = tuple(v for v in range(n) if v not in source and v not in fset)
+    avoid = np.array([1 << v | (0 if v in source else fmask) for v in range(n)], dtype=np.int64)
     origins = np.array(
-        [seeds_mask if v in source else 0 if v in fset else smask for v in g.node_order],
+        [seeds_mask if v in source else 0 if v in fset else smask for v in range(n)],
         dtype=np.int64,
     )
     receiver = tu.receiver
@@ -523,7 +537,7 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     np.not_equal(masks[1:], masks[:-1], out=first[1:])
     first[1:] |= receiver[1:] != receiver[:-1]
     starts = first.nonzero()[0]
-    cut = np.searchsorted(receiver, np.arange(len(avoid) + 1))
+    cut = np.searchsorted(receiver, np.arange(n + 1))
     # each run's start within its receiver's table
     local = starts - cut[receiver[starts]]
     distinct = masks[starts]
@@ -533,14 +547,14 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
 
     tables = {}
     for v in (*in_s, *updaters_f):
-        lo, hi = cut[bit[v]], cut[bit[v] + 1]
-        rlo, rhi = run_cut[bit[v]], run_cut[bit[v] + 1]
+        lo, hi = cut[v], cut[v + 1]
+        rlo, rhi = run_cut[v], run_cut[v + 1]
         tables[v] = Candidates(
             tids[lo:hi], obits[lo:hi], sent[:, lo:hi], distinct[rlo:rhi], local[rlo:rhi]
         )
     return PhaseData(
         fset, source, seeds_b, layout, g.mask_of(nfs),
-        sum(1 << layout.copy1[bit[u]] for u in nfs),
+        sum(1 << layout.copy1[u] for u in nfs),
         cpath_f, cpath_s,
         {v: tables[v] for v in in_s},
         {v: tables[v] for v in updaters_f},
@@ -596,8 +610,6 @@ class Engine:
 
     def __init__(self, g: DirectedHypergraph, f: int):
         require_fault_bound(f)
-        if g.nodes != frozenset(range(g.n)):
-            raise ValueError("the simulator needs node ids 0..n-1")
         if g.n + 2 * f > _MASK_BITS:
             raise ValueError(
                 f"n + 2f = {g.n + 2 * f}; the simulator's int64 trail masks hold "
@@ -609,7 +621,7 @@ class Engine:
         self.phases = [
             _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
-        self._fault_set_count = sum(math.comb(g.n, k) for k in range(min(f, g.n) + 1))
+        self._fault_set_count = len(self.phases)   # one phase per fault set
         self._cache: dict = {}
 
     # -- per-node protocol steps (reused by the indistinguishability harness)
@@ -631,7 +643,7 @@ class Engine:
         of N(F, S) on a kept trail is on the adopting side's copy.  The
         split-graph bits of the kept trails are thus one renaming of their
         base bits, which keeps every intersection as it is."""
-        vbit = 1 << self.g.bit_of[v]
+        vbit = 1 << v
         # step (c): slot j of the layout goes to copy 0 exactly when v traced
         # a 0 through it; a phase with no fault channel has no slot
         side: list[int] = []

@@ -55,7 +55,7 @@ import numpy as np
 
 from hyperbft import conditions
 from hyperbft.formats import canonical_json
-from hyperbft.hypergraph import DirectedHypergraph
+from hyperbft.hypergraph import DirectedHypergraph, Hyperedge
 from hyperbft.paths import canonical_path, exists_disjoint_packing, propagates_bits
 from hyperbft.protocol import (
     ABSENT,
@@ -245,6 +245,28 @@ def brute_force_propagates(
 # condition replays from the raw definitions
 
 
+def induced_with_edges(g: DirectedHypergraph, u, extra_edge_ids) -> DirectedHypergraph:
+    """``g`` restricted to ``u`` plus the listed hyperedges kept whole.
+
+    The node set grows by the endpoints of the extra edges.  If an extra
+    edge would also appear (restricted) in the induced part, the whole
+    edge wins."""
+    uset = frozenset(u)
+    extra_ids = set(extra_edge_ids)
+    nodes = set(uset)
+    for eid in extra_ids:
+        e = g.edge_by_id[eid]
+        nodes.add(e.head)
+        nodes.update(e.tails)
+    edges = []
+    for e in g.edges:
+        if e.id in extra_ids:
+            edges.append(e)
+        elif e.head in uset and e.tails & uset:
+            edges.append(Hyperedge(e.id, e.head, e.tails & uset))
+    return DirectedHypergraph(g.n, tuple(edges), frozenset(nodes))
+
+
 def _neighborhood(g: DirectedHypergraph, a: set[int], b: set[int]) -> set[int]:
     return {
         e.head for e in g.edges if e.head in a and e.tails & b
@@ -304,12 +326,7 @@ def first_violation_rebuilding(g: DirectedHypergraph, fset, f: int, condition: s
     """(split index, partition index, violation) of a violated fault set:
     the first violating split graph in ``enumerate_lambda`` order, each one
     built and decided on its own, and its first violating partition."""
-    detect = conditions._detector(condition)
-    base = conditions._partition_base(condition)
-    if condition == conditions.LCR:
-        canonical = conditions._canonical_lcr_partition
-    else:
-        canonical = conditions._canonical_ab_partition
+    detect, canonical, base = conditions._condition(condition)
     skipped = 0
     for idx, sh in enumerate(enumerate_lambda(g, fset)):
         out, m, fprime = conditions._split_graph_bits(sh)
@@ -364,12 +381,7 @@ def scan_fault_set_ordered(g: DirectedHypergraph, fset, f: int, condition: str):
     ``enumerate_lambda`` order: the detector runs on every light split's
     row, batch by batch, and the first violating row is the witness."""
     fset = frozenset(fset)
-    detect = conditions._detector(condition)
-    if condition == conditions.LCR:
-        canonical = conditions._canonical_lcr_partition
-    else:
-        canonical = conditions._canonical_ab_partition
-    base = conditions._partition_base(condition)
+    detect, canonical, base = conditions._condition(condition)
     splits = partitions = 0
     for x in split_sets(fset):
         layout = split_layout(g, fset, x)
@@ -575,7 +587,7 @@ def flood_records_layered(tu: TrailUniverse, seeds, gamma, faulty=(), adversary=
         by_edge = dict(zip(eids, emitted.tolist()))
         for i in first.tolist():
             if tu.origin[i] == w:
-                vals[i] = by_edge[int(tu.edge[i])]
+                vals[i] = by_edge[tu.trail_of[i][0]]
     forward = {ABSENT: ABSENT}
     if rules:
         forward.update({x: ABSENT if y is None else y for x, y in enumerate(adversary.forward)})
@@ -594,11 +606,14 @@ def flood_records_layered(tu: TrailUniverse, seeds, gamma, faulty=(), adversary=
 
 
 def edge_used_reference(tu: TrailUniverse, u: int) -> np.ndarray:
-    """The channel u transmitted on within each trail (-1 if it did not),
-    read off each trail's channel list."""
+    """The index of the channel u transmitted on within each trail (-1 if
+    it did not), read off each trail's channel id list."""
     heads = {e.id: e.head for e in tu.g.edges}
     return np.array(
-        [next((e for e in trail if heads[e] == u), -1) for trail in tu.trail_of],
+        [
+            next((tu.channel_index[e] for e in trail if heads[e] == u), -1)
+            for trail in tu.trail_of
+        ],
         dtype=np.int32,
     )
 
@@ -610,7 +625,7 @@ def receives_reference(tu: TrailUniverse) -> dict[int, np.ndarray]:
     length = np.array([len(trail) for trail in tu.trail_of], dtype=np.int64)
     receives: dict[int, list[int]] = {v: [] for v in tu.g.node_order}
     for tid in np.lexsort((tu.tmask, length)).tolist():
-        for w in sorted(tu.g.edge_by_id[int(tu.edge[tid])].tails):
+        for w in sorted(tu.g.edge_by_id[tu.trail_of[tid][-1]].tails):
             receives[w].append(tid)
     return {v: np.array(ts, dtype=np.int32) for v, ts in receives.items()}
 
@@ -627,9 +642,10 @@ def phase_candidates_reference(engine, ph) -> tuple[dict, dict]:
     fset, source = ph.fault_set, ph.source
     nfs = g.in_neighborhood(fset, source)
     receives = receives_reference(tu)
-    slot_of = np.full(tu.max_edge_id + 2, -1, dtype=np.int16)
+    # by channel index; the extra last entry maps -1 to -1
+    slot_of = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int16)
     for j, (eid, _, _, _) in enumerate(ph.layout.slots):
-        slot_of[eid] = j
+        slot_of[tu.channel_index[eid]] = j
     sent = slot_of[tu.edge_used[sorted(nfs)]]
     origin_bits = np.left_shift(np.int64(1), tu.origin.astype(np.int64))
 
@@ -698,14 +714,15 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
     copy1 = layout.copy1
 
     # step (c): per-channel copy assignment from traced values
-    side_of_edge = np.full(tu.max_edge_id + 2, -1, dtype=np.int8)
+    # side_of_edge[i]: channel i's copy (by channel index, -1 off the layout)
+    side_of_edge = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int8)
     sides = 0
     for i, (eid, _, _, _) in enumerate(layout.slots):
         u = g.edge_by_id[eid].head
-        path = canonical_path(g.induced_with_edges(source, (eid,)), u, v)
+        path = canonical_path(induced_with_edges(g, source, (eid,)), u, v)
         tid = None if path is None else tid_of.get((u, path))
         side = 0 if (tid is not None and vals[tid] == 0) else 1
-        side_of_edge[eid] = side
+        side_of_edge[tu.channel_index[eid]] = side
         sides |= side << i
 
     zmask = 0

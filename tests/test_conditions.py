@@ -19,12 +19,12 @@ from hyperbft.conditions import (
     _check,
     _closure_violated,
     _closures,
+    _condition,
     _first_lcr_labelling,
     _head_sets,
     _lcr_split_violated,
     _light_splits,
     _node_rows,
-    _partition_base,
     _pinned,
     _scan_fault_set,
     _slot_groups,
@@ -113,6 +113,11 @@ def test_report_metadata_names_condition() -> None:
     assert rep_l.condition == LCR
     assert rep_a.condition == AB
     assert rep_l.f == rep_a.f == 1
+
+
+def test_unknown_condition_is_refused() -> None:
+    with pytest.raises(ValueError, match="unknown condition 'lcr'"):
+        check_with_fault_set(complete_p2p(3), {0}, 1, "lcr")
 
 
 @settings(max_examples=120, deadline=None)
@@ -371,7 +376,7 @@ def test_first_violation_matches_the_rebuilding_oracle(n, channels, seed, f, con
     if condition == AB:
         n = min(n, 4)
     g = random_hypergraph(n, channels, seed, max_tail_size=2)
-    base = _partition_base(condition)
+    _, _, base = _condition(condition)
     for fset in subsets_by_cardinality(g.nodes, f):
         holds, splits, partitions, violation = _scan_fault_set(g, fset, f, condition)
         if holds:

@@ -38,6 +38,7 @@ from hyperbft.protocol import (
 from oracles import (
     edge_used_reference,
     flood_records_layered,
+    induced_with_edges,
     node_steps_reference,
     phase_candidates_reference,
     receives_reference,
@@ -261,7 +262,7 @@ def test_phase_trails_are_the_canonical_paths(n, m, f, seed) -> None:
             others = [u for u in sorted(ph.source) if u != v]
             assert ph.cpath_s[v] == tuple((1 << g.bit_of[u], tid(reduced, u, v)) for u in others)
             assert ph.cpath_f[v] == tuple(
-                tid(g.induced_with_edges(ph.source, (eid,)), g.edge_by_id[eid].head, v)
+                tid(induced_with_edges(g, ph.source, (eid,)), g.edge_by_id[eid].head, v)
                 for eid, _, _, _ in ph.layout.slots
             )
 
@@ -535,8 +536,9 @@ def test_trail_limit_refuses_before_building_any_trail() -> None:
 def test_trail_count_is_the_universe_size(n, channels, seed) -> None:
     """The state count equals the number of trails built."""
     g = random_hypergraph(n, channels, seed)
-    tails_of = {e.id: e.sorted_tails() for e in g.edges}
-    assert protocol._count_trails(g, tails_of) == TrailUniverse(g).size
+    tu = TrailUniverse(g)
+    tails = [g.edge_by_id[eid].sorted_tails() for eid in tu.channel_ids]
+    assert protocol._count_trails(tu.head_channels, tails) == tu.size
 
 
 def test_edge_used_names_each_trails_channel_of_a_node() -> None:
