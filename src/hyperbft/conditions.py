@@ -688,16 +688,25 @@ def check_with_fault_set(
     return holds, violation
 
 
-def _check(g: DirectedHypergraph, f: int, condition: str) -> ConditionReport:
+def _check(
+    g: DirectedHypergraph, f: int, condition: str, want_witness: bool = True
+) -> ConditionReport | None:
+    """The condition's report over every fault set.  With ``want_witness``
+    off, a violated condition returns None at its first violated fault set,
+    which builds no witness; a report that holds is the same either way."""
     require_fault_bound(f)
     fault_sets = splits_total = partitions_total = 0
     for fset in subsets_by_cardinality(g.nodes, f):
         fault_sets += 1
-        holds, splits, partitions, violation = _scan_fault_set(g, fset, f, condition)
+        holds, splits, partitions, violation = _scan_fault_set(
+            g, fset, f, condition, want_witness
+        )
         splits_total += splits
         partitions_total += partitions
         if holds:
             continue
+        if not want_witness:
+            return None
         if not verify_witness(g, f, violation):
             raise AssertionError("witness failed raw re-verification")
         return ConditionReport(

@@ -10,7 +10,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .conditions import ConditionReport, check_lcr_hyper
+from .conditions import LCR, ConditionReport, _check, check_lcr_hyper
 from .hypergraph import DirectedHypergraph
 from .reductions import counterexample_hypergraph
 
@@ -228,8 +228,12 @@ def _sample_condition(
         if len(found) >= count:
             break
         g = next(stream)
-        report = check_lcr_hyper(g, f)
-        if report.holds == holds:
+        if holds:
+            # a violating draw is thrown away, so it is decided without a witness
+            report = _check(g, f, LCR, want_witness=False)
+        else:
+            report = check_lcr_hyper(g, f)
+        if report is not None and report.holds == holds:
             found.append((g, report))
     if len(found) < count:
         kind = "passing" if holds else "violating"

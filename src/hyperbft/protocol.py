@@ -206,23 +206,19 @@ class TrailUniverse:
     every per-channel table is sized by the channel count, whatever the
     ids; ``trail_of`` lists channel ids.
 
-    A trail is simple: no node transmits twice.  ``tmask`` holds each
-    trail's transmitters as node bits, and ``relays`` the same bits without
-    the origin's.  The simulator and the necessity harness's carrier both
-    read this one universe.  A graph with more than ``MAX_TRAILS`` trails
-    raises ValueError before any trail is built (``_count_trails``).
+    A trail is simple: no node transmits twice.  ``origin`` (intp, so a
+    ``take`` by it copies no index), ``parent``, ``edge``, ``first_edge``
+    and ``tmask`` (each trail's transmitters as node bits) are what runs
+    and the necessity harness's carrier read; the receive table the phase
+    builds read is ``_receive_table``'s, and an engine drops it once its
+    phases are built.  A graph with more than ``MAX_TRAILS`` trails raises
+    ValueError before any trail is built (``_count_trails``).
 
     Trail ids run by length first and, within a length, lexicographically
     by (origin, e1, w1, e2, w2, ...), where w_i is the tail of e_i that
     transmits e_{i+1}: the tie order of ``paths.canonical_path``.  So of
     the trails a node receives from one origin with every transmitter in a
-    node set W, the least id is the canonical path within W.
-
-    The receive lists are one int32 array, ``received``, in node order:
-    node v receives ``received[received_at[v]:received_at[v + 1]]``,
-    by (length, tmask) and then by trail id.  ``receiver``,
-    ``received_mask`` and ``received_origin`` hold each entry's receiver,
-    transmitter mask and origin bit, which every phase build reads."""
+    node set W, the least id is the canonical path within W."""
 
     def __init__(self, g: DirectedHypergraph):
         if g.nodes != frozenset(range(g.n)):
@@ -272,33 +268,17 @@ class TrailUniverse:
         self.g = g
         self.size = len(origins)
         self.layers = tuple(layers)     # (first, end) trail ids of each trail length
-        self.origin = np.array(origins, dtype=np.int32)
+        self.origin = np.array(origins, dtype=np.intp)
         self.parent = np.array(parents, dtype=np.int32)
         self.edge = np.array(edges, dtype=np.int32)
         self.tmask = np.array(tmask, dtype=np.int64)
         self.first_edge = np.array(first_edge, dtype=np.int32)
-        origin_bit = np.left_shift(np.int64(1), self.origin.astype(np.int64))
-        self.relays = self.tmask ^ origin_bit
         self.edge_head = np.array([e.head for e in channels], dtype=np.int32)
         # tail_bits[i, w]: node w is a tail of channel i
         self.tail_bits = np.zeros((len(channels), g.n), dtype=bool)
         self.tail_bits[
             [i for i, ts in enumerate(tails) for _ in ts], [w for ts in tails for w in ts]
         ] = True
-
-        # received[received_at[v]:received_at[v + 1]]: the trails node v
-        # receives, by (length, tmask), then by id.  A trail's length is its
-        # popcount in tmask, so any selection of them keeps equal masks
-        # adjacent and sparse masks first.  One nonzero over the tail bits of
-        # each trail's last channel, in that order and transposed, lists them
-        # receiver by receiver.
-        length = np.repeat(np.arange(len(layers)), [hi - lo for lo, hi in layers])
-        order = np.lexsort((self.tmask, length))
-        self.receiver, at = np.nonzero(self.tail_bits[self.edge[order]].T)
-        self.received = order[at].astype(np.int32)
-        self.received_at = np.searchsorted(self.receiver, np.arange(g.n + 1))
-        self.received_mask = self.tmask[self.received]
-        self.received_origin = origin_bit[self.received]
 
     @cached_property
     def trail_of(self) -> list[tuple[int, ...]]:
@@ -309,19 +289,6 @@ class TrailUniverse:
         for p, i in zip(self.parent.tolist(), self.edge.tolist()):
             trails.append(trails[p] + (ids[i],) if p >= 0 else (ids[i],))
         return trails
-
-    @cached_property
-    def edge_used(self) -> np.ndarray:
-        """``edge_used[v, t]``: the channel index node v transmitted on
-        within trail t, -1 if it did not.  A trail inherits its parent's
-        column and adds the head of its last channel."""
-        used = np.full((self.g.n, self.size), -1, dtype=np.int32)
-        heads = self.edge_head[self.edge]
-        for lo, hi in self.layers:
-            if lo:
-                used[:, lo:hi] = used[:, self.parent[lo:hi]]
-            used[heads[lo:hi], np.arange(lo, hi)] = self.edge[lo:hi]
-        return used
 
 
 def _count_trails(heads: list[list[int]], tails: list[tuple[int, ...]]) -> int:
@@ -413,15 +380,71 @@ def flood_records(
 # per-phase static data
 
 
+class ReceiveTable(NamedTuple):
+    """What the phase builds of one engine read off its trail universe and
+    runs do not: built once per engine by ``_receive_table`` and dropped
+    with the build.
+
+    The receive lists are one int32 array, ``received``, in node order:
+    node v receives ``received[received_at[v]:received_at[v + 1]]``, by
+    (length, tmask) and then by trail id.  ``receiver``, ``received_mask``
+    and ``received_origin`` hold each entry's receiver, transmitter mask and
+    origin bit, the last in the smallest unsigned type that holds bit n - 1.
+    ``relays`` holds each trail's transmitters without its origin, and
+    ``edge_used[v, t]`` the channel index node v transmitted on within
+    trail t, -1 if it did not."""
+
+    received: np.ndarray
+    received_at: np.ndarray
+    receiver: np.ndarray
+    received_mask: np.ndarray
+    received_origin: np.ndarray
+    relays: np.ndarray
+    edge_used: np.ndarray
+
+
+def _receive_table(tu: TrailUniverse) -> ReceiveTable:
+    """``tu``'s receive table.  Each trail's receive entries are the tails
+    of its last channel: one nonzero over those tail bits, in (length,
+    tmask, id) order and transposed, lists them receiver by receiver.  A
+    trail's length is its popcount in tmask, so any selection of them keeps
+    equal masks adjacent and sparse masks first.  A trail's ``edge_used``
+    column is its parent's plus the head of its last channel."""
+    n = tu.g.n
+    length = np.repeat(np.arange(len(tu.layers)), [hi - lo for lo, hi in tu.layers])
+    order = np.lexsort((tu.tmask, length))
+    receiver, at = np.nonzero(tu.tail_bits[tu.edge[order]].T)
+    received = order[at].astype(np.int32)
+    node_bit = np.left_shift(np.int64(1), np.arange(n))
+    origin_bit = node_bit.astype(np.min_scalar_type(1 << max(n - 1, 0))).take(tu.origin)
+    used = np.full((n, tu.size), -1, dtype=np.int32)
+    heads = tu.edge_head[tu.edge]
+    for lo, hi in tu.layers:
+        if lo:
+            used[:, lo:hi] = used[:, tu.parent[lo:hi]]
+        used[heads[lo:hi], np.arange(lo, hi)] = tu.edge[lo:hi]
+    return ReceiveTable(
+        received,
+        np.searchsorted(receiver, np.arange(n + 1)),
+        receiver,
+        tu.tmask.take(received),
+        origin_bit.take(received),
+        tu.tmask ^ node_bit.take(tu.origin),
+        used,
+    )
+
+
 class Candidates(NamedTuple):
     """The trails one node weighs when it adopts a value in one phase, by
     ascending (popcount, mask) of their transmitter masks (node bits), then
-    by id: ``origin_bits`` holds their origins, and ``sent[k]`` the slot of
-    the phase's split layout on which the k-th node of sorted N(F, S)
-    transmitted, -1 where it did not (int16, one column per trail).
-    ``distinct`` holds each transmitter mask once, in that order, and
-    ``starts`` the index of its first trail, so a selection of trails maps
-    to its distinct masks with one ``reduceat``.
+    by id: ``origin_bits`` holds their origins' bits, in the smallest
+    unsigned type that holds bit n - 1 (uint8 for n <= 8), and ``sent[k]``
+    the slot of the phase's split layout on which the k-th node of sorted
+    N(F, S) transmitted, -1 where it did not (one column per trail, in the
+    smallest signed type that holds -(slots + 1): int8 for up to 127
+    slots).  ``distinct`` holds each transmitter mask once, in that order,
+    and ``starts`` the index of its first trail, so a selection of trails
+    maps to its distinct masks with one ``reduceat``.
 
     ``_build_phase`` builds the tables of all nodes of a phase at once and
     each node's fields are slices (views) of the phase's arrays."""
@@ -456,10 +479,13 @@ class PhaseData:
     updaters_f: tuple[int, ...] = ()            # the nodes outside S and F
 
 
-def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int]) -> PhaseData:
-    """One phase's ``PhaseData``, read off G and its trail universe with F
-    masked out rather than off a graph G - F: S is the one source component
-    of G minus F's bits, and no arc of G - F enters S.
+def _build_phase(
+    g: DirectedHypergraph, tu: TrailUniverse, rt: ReceiveTable, fset: frozenset[int]
+) -> PhaseData:
+    """One phase's ``PhaseData``, read off G, its trail universe and the
+    universe's receive table ``rt`` with F masked out rather than off a
+    graph G - F: S is the one source component of G minus F's bits, and no
+    arc of G - F enters S.
 
     Canonical trails are least trail ids, since trail ids follow
     ``canonical_path``'s tie order (``TrailUniverse``).  v's canonical
@@ -472,11 +498,11 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     slot; only receivers in S, origins in S and slots are read back, and a
     trail from S starts on no channel of F.
 
-    The candidate tables of all nodes come from one pass over the
-    universe's receive array: each receiver's avoid mask and origin mask are
-    broadcast over its run, one keep mask filters the whole array, a run of
-    equal transmitter masks starts wherever the mask or the receiver
-    changes, and each node's ``Candidates`` are sliced out of the result."""
+    The candidate tables of all nodes come from one pass over the receive
+    array: each receiver's avoid mask and origin mask are broadcast over its
+    run, one keep mask filters the whole array, a run of equal transmitter
+    masks starts wherever the mask or the receiver changes, and each node's
+    ``Candidates`` are sliced out of the result."""
     n = g.n
     fmask = g.mask_of(fset)
     sources = g.source_components_without(fmask)
@@ -489,7 +515,9 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     in_s = sorted(source)
 
     # slot_of[i]: channel i's layout slot; the extra last entry maps -1 to -1
-    slot_of = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int16)
+    slot_of = np.full(
+        len(tu.channel_ids) + 1, -1, dtype=np.min_scalar_type(-(len(layout.slots) + 1))
+    )
     for j, (eid, _, _, _) in enumerate(layout.slots):
         slot_of[tu.channel_index[eid]] = j
 
@@ -497,7 +525,7 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     # origin (k < n), or a first channel's layout slot j (k = n + 1 + j;
     # k = n for a channel in no slot)
     end = tu.layers[min(len(in_s), len(tu.layers)) - 1][1] if tu.layers else 0
-    kept = ((tu.relays[:end] & np.int64(~smask)) == 0).nonzero()[0]
+    kept = ((rt.relays[:end] & np.int64(~smask)) == 0).nonzero()[0]
     which, row = tu.tail_bits[tu.edge[kept]].nonzero()
     kept = kept[which]
     least = np.full((n, n + 1 + len(layout.slots)), tu.size, dtype=np.int64)
@@ -523,15 +551,15 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     avoid = np.array([1 << v | (0 if v in source else fmask) for v in range(n)], dtype=np.int64)
     origins = np.array(
         [seeds_mask if v in source else 0 if v in fset else smask for v in range(n)],
-        dtype=np.int64,
+        dtype=rt.received_origin.dtype,
     )
-    receiver = tu.receiver
+    receiver = rt.receiver
     keep = (
-        ((tu.received_mask & avoid[receiver]) == 0)
-        & ((tu.received_origin & origins[receiver]) != 0)
+        ((rt.received_mask & avoid[receiver]) == 0)
+        & ((rt.received_origin & origins[receiver]) != 0)
     ).nonzero()[0]
-    tids, masks = tu.received[keep], tu.received_mask[keep]
-    obits, receiver = tu.received_origin[keep], receiver[keep]
+    tids, masks = rt.received[keep], rt.received_mask[keep]
+    obits, receiver = rt.received_origin[keep], receiver[keep]
     # a run of equal masks starts where the mask or the receiver changes
     first = np.ones(len(keep), dtype=bool)
     np.not_equal(masks[1:], masks[:-1], out=first[1:])
@@ -541,7 +569,7 @@ def _build_phase(g: DirectedHypergraph, tu: TrailUniverse, fset: frozenset[int])
     # each run's start within its receiver's table
     local = starts - cut[receiver[starts]]
     distinct = masks[starts]
-    sent = slot_of[tu.edge_used[sorted(nfs)][:, tids]]
+    sent = slot_of[rt.edge_used[sorted(nfs)][:, tids]]
     run_cut = np.searchsorted(starts, cut).tolist()
     cut = cut.tolist()
 
@@ -599,6 +627,10 @@ class RunResult:
 class Engine:
     """Shared per-graph simulator state.
 
+    An engine keeps what runs read: the trail universe ``tu`` and one
+    ``PhaseData`` per fault set.  The receive table its phase builds read
+    (``_receive_table``) is built once and dropped with the build.
+
     ``_cache`` memoizes run() per phase and step (d)'s propagation test per
     (phase, split, Z, N), holds the flood table of the current (fault set,
     adversary) (``_flood``), and the one instance of each library adversary
@@ -618,10 +650,12 @@ class Engine:
         self.g = g
         self.f = f
         self.tu = TrailUniverse(g)
+        table = _receive_table(self.tu)
         self.phases = [
-            _build_phase(g, self.tu, fset) for fset in subsets_by_cardinality(g.nodes, f)
+            _build_phase(g, self.tu, table, fset) for fset in subsets_by_cardinality(g.nodes, f)
         ]
         self._fault_set_count = len(self.phases)   # one phase per fault set
+        self._node_bits = (1 << g.n) - 1
         self._cache: dict = {}
 
     # -- per-node protocol steps (reused by the indistinguishability harness)
@@ -678,9 +712,10 @@ class Engine:
         # v is on the adopting side: look for f+1 disjoint paths from A.
         # Origins lie in S u N(F, S), and A's bits outside S are N(F, S)'s
         # own or its fault copies; a helper that did not transmit reads need_side.
-        # With N(F, S) empty there is no helper to filter by.
+        # With N(F, S) empty there is no helper to filter by.  Origin bits
+        # are node bits in a narrow type, so the mask drops its copy bits.
         cand = ph.cand_d[v]
-        ok = (cand.origin_bits & (amask | ph.nfs_mask)) != 0
+        ok = (cand.origin_bits & ((amask | ph.nfs_mask) & self._node_bits)) != 0
         if len(cand.sent):
             ok &= (np.array(side + [need_side])[cand.sent] == need_side).all(axis=0)
         return self._adopt(own_gamma, cand, vals_b, ok)

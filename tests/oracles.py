@@ -63,6 +63,7 @@ from hyperbft.protocol import (
     PhaseOutcome,
     RunResult,
     TrailUniverse,
+    _receive_table,
     flood_records,
     get_engine,
     make_adversary,
@@ -642,12 +643,18 @@ def phase_candidates_reference(engine, ph) -> tuple[dict, dict]:
     fset, source = ph.fault_set, ph.source
     nfs = g.in_neighborhood(fset, source)
     receives = receives_reference(tu)
-    # by channel index; the extra last entry maps -1 to -1
-    slot_of = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int16)
+    # by channel index, in the narrowest type that holds -(slots + 1); the
+    # extra last entry maps -1 to -1
+    slots = len(ph.layout.slots)
+    slot_of = np.full(len(tu.channel_ids) + 1, -1, dtype=np.int8 if slots < 128 else np.int16)
     for j, (eid, _, _, _) in enumerate(ph.layout.slots):
         slot_of[tu.channel_index[eid]] = j
-    sent = slot_of[tu.edge_used[sorted(nfs)]]
-    origin_bits = np.left_shift(np.int64(1), tu.origin.astype(np.int64))
+    sent = slot_of[_receive_table(tu).edge_used[sorted(nfs)]]
+    # origin bits in the narrowest unsigned type that holds bit n - 1
+    obit_type = next(
+        t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if g.n <= 8 * t(0).nbytes
+    )
+    origin_bits = np.left_shift(np.int64(1), tu.origin).astype(obit_type)
 
     def candidates(v: int, avoid: int, origins: int) -> Candidates:
         tids = receives[v]
@@ -685,10 +692,11 @@ def node_steps_reference(engine, ph, v: int, own_gamma: int, vals: np.ndarray) -
     fset, source = ph.fault_set, ph.source
     reduced = g.remove_nodes(fset)
     tid_of = {(int(o), trail): t for t, (o, trail) in enumerate(zip(tu.origin, tu.trail_of))}
-    at = tu.received_at
+    rt = _receive_table(tu)
+    at = rt.received_at
 
     def candidates(avoid: int, origins) -> np.ndarray:
-        tids = tu.received[at[bit[v]]:at[bit[v] + 1]]
+        tids = rt.received[at[bit[v]]:at[bit[v] + 1]]
         origin_bits = np.left_shift(np.int64(1), tu.origin[tids].astype(np.int64))
         return tids[((tu.tmask[tids] & avoid) == 0) & ((origin_bits & g.mask_of(origins)) != 0)]
 

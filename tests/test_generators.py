@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.generators import (
+    _random_candidates,
     all_local_broadcast_graphs,
     all_p2p_graphs,
     all_undirected_hypergraphs,
@@ -121,3 +122,20 @@ def test_condition_samplers_deliver_what_they_promise(seed: int) -> None:
     for g, rep in violating:
         assert not rep.holds and not check_lcr_hyper(g, 1).holds
         assert rep.violation is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_passing_sampler_keeps_the_checker_reports_of_its_stream(seed: int) -> None:
+    """The passing sampler decides a violating draw without building its
+    witness, and still returns exactly the (graph, report) pairs that
+    ``check_lcr_hyper`` keeps from the same candidate stream."""
+    stream = _random_candidates(6, 1, seed)
+    want, draws = [], 0
+    while len(want) < 20:
+        g = next(stream)
+        draws += 1
+        report = check_lcr_hyper(g, 1)
+        if report.holds:
+            want.append((g, report))
+    assert draws > len(want)   # the stream held violating draws
+    assert sample_condition_passing(20, 6, 1, seed) == want

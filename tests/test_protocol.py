@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import re
@@ -316,12 +317,12 @@ def test_one_pass_candidates_match_the_per_node_filter(n, m, f, seed) -> None:
     three tails per channel."""
     g = random_hypergraph(n, m, seed, max_tail_size=3)
     engine = Engine(g, f)
-    tu = engine.tu
-    at = tu.received_at
-    for v, want in receives_reference(tu).items():
-        got = tu.received[at[g.bit_of[v]]:at[g.bit_of[v] + 1]]
+    rt = protocol._receive_table(engine.tu)
+    at = rt.received_at
+    for v, want in receives_reference(engine.tu).items():
+        got = rt.received[at[g.bit_of[v]]:at[g.bit_of[v] + 1]]
         assert got.dtype == want.dtype and np.array_equal(got, want), v
-        assert got.base is tu.received, v
+        assert got.base is rt.received, v
     for ph in engine.phases:
         if ph.source is None:
             continue
@@ -358,6 +359,29 @@ def test_node_steps_match_the_reference(n, m, f, seed) -> None:
                 step = engine.node_step_cd if v in ph.source else engine.node_step_f
                 want = node_steps_reference(engine, ph, v, own_gamma, vals)
                 assert step(ph, v, own_gamma, vals) == want, (ph.fault_set, v)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, obits", [(8, 12, 3, np.uint8), (10, 16, 0, np.uint16), (16, 26, 1, np.uint16)]
+)
+def test_origin_bits_take_the_narrowest_type(n, m, seed, obits) -> None:
+    """Origin bits take the smallest unsigned type that holds bit n - 1,
+    and node steps still match the reference, also where step (d)'s side
+    masks carry fault-copy bits past that type (n = 8 and n = 16 at f=1)."""
+    g = random_hypergraph(n, m, seed, max_tail_size=2)
+    engine = Engine(g, 1)
+    rng = np.random.default_rng(seed)
+    phases = [ph for ph in engine.phases if ph.source is not None]
+    assert phases
+    for ph in phases:
+        for cand in [*ph.cand_d.values(), *ph.cand_f.values()]:
+            assert (cand.origin_bits.dtype, cand.sent.dtype) == (obits, np.int8)
+        vals = rng.choice(np.array([ABSENT, 0, 1], dtype=np.int16), engine.tu.size)
+        for v in sorted(g.nodes - ph.fault_set):
+            own_gamma = int(rng.integers(2))
+            step = engine.node_step_cd if v in ph.source else engine.node_step_f
+            want = node_steps_reference(engine, ph, v, own_gamma, vals)
+            assert step(ph, v, own_gamma, vals) == want, (ph.fault_set, v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -501,6 +525,25 @@ def test_trail_universe_holds_no_per_trail_objects() -> None:
     assert held < 8 << 20
 
 
+def test_engine_keeps_only_what_runs_read() -> None:
+    """The receive table is a value of the engine build: what building
+    complete_p2p(7)'s engine at f=2 leaves allocated stays under 6 MiB,
+    where keeping the table, the ``edge_used`` columns and int64 origin bits
+    held about 12.4 MiB, and the universe holds none of the table's
+    fields."""
+    g = complete_p2p(7)
+    g.bit_of, g.head_edges(0)   # warm the graph's lazy tables, which outlive the build
+    tracemalloc.start()
+    try:
+        engine = Engine(g, 2)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not [name for name in protocol.ReceiveTable._fields if hasattr(engine.tu, name)]
+    assert held < 6 << 20
+
+
 def test_trail_universe_stops_past_the_trail_limit(monkeypatch) -> None:
     monkeypatch.setattr(protocol, "MAX_TRAILS", 2000)
     assert TrailUniverse(complete_p2p(5)).size == 1300
@@ -544,8 +587,9 @@ def test_trail_count_is_the_universe_size(n, channels, seed) -> None:
 def test_edge_used_names_each_trails_channel_of_a_node() -> None:
     g = random_hypergraph(5, 8, 3)
     tu = TrailUniverse(g)
+    edge_used = protocol._receive_table(tu).edge_used
     for u in range(g.n):
-        assert np.array_equal(tu.edge_used[u], edge_used_reference(tu, u))
+        assert np.array_equal(edge_used[u], edge_used_reference(tu, u))
 
 
 def test_unknown_adversary_name_rejected() -> None:
