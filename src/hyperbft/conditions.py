@@ -93,6 +93,11 @@ _SQUARING_CELLS = 1 << 9
 # one split node; a node whose d channels have distinct single tails has
 # 2^(d-1) of them.
 MAX_SPLIT_PAIRS = 1 << 18
+# Most partitions x split graphs the AB detector walks per split set: every
+# Pareto-minimal row of m nodes has 2^(m-1) partitions, each a max-flow
+# test.  2^14 take about 1 s (the 15-node ring at f=0, 2-core Xeon); the
+# tests reach 4,096 (5-node graphs over the complete graph at f=2).
+MAX_AB_PARTITIONS = 1 << 14
 # Closure cells (rows x C(m, f) x m) per batch of split graphs.  Larger
 # batches leave the cache: at 2^16 cells complete_p2p(7) and (8) at f=2
 # check 1.5x slower than at 2^14, and at 2^12 the per-call cost shows.
@@ -190,6 +195,18 @@ def _admit_lcr(m: int, f: int) -> None:
         raise ValueError(
             f"split graph has {m} nodes; at f={f} the LCR detector takes at most "
             f"{MAX_CLOSURE_PAIRS} closure pairs (here {closures}^2)"
+        )
+
+
+def _admit_ab(m: int, rows: int) -> None:
+    """Raise ``ValueError`` when ``rows`` split graphs of m nodes hold more
+    than ``MAX_AB_PARTITIONS`` partitions (2^(m-1) each) for the AB
+    detector to walk."""
+    if rows << max(m - 1, 0) > MAX_AB_PARTITIONS:
+        raise ValueError(
+            f"split graph has {m} nodes; the AB detector walks at most "
+            f"{MAX_AB_PARTITIONS} partitions x split graphs per split set "
+            f"(here {rows} x 2^{m - 1})"
         )
 
 
@@ -444,6 +461,11 @@ def _pareto_minimal(pairs) -> list[tuple[int, int]]:
     return kept
 
 
+def _row_tables(groups, fixed: dict[int, int]) -> list[list[tuple[int, int]]]:
+    """Each split node's Pareto-minimal (copy-0, copy-1) out-mask pairs."""
+    return [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
+
+
 def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int], f: int):
     """Yield batches of out-mask rows (lists of m ints) that decide whether
     some split graph of ``layout`` whose assignment counter agrees with
@@ -460,8 +482,7 @@ def _light_splits(layout: SplitLayout, groups, fixed: dict[int, int], f: int):
     (always at least one row), so a layout whose rows fit is one batch.
     """
     m = layout.m
-    tables = [_pareto_minimal(_node_rows(slots, fixed)) for slots in groups.values()]
-    combos = itertools.product(*tables)
+    combos = itertools.product(*_row_tables(groups, fixed))
     step = max(1, _BATCH_CELLS // (math.comb(m, min(f, m)) * m or 1))
     while batch := list(itertools.islice(combos, step)):
         rows = []
@@ -631,7 +652,8 @@ def _scan_fault_set(
     An LCR split graph of m > 2f nodes with more than ``MAX_CLOSURE_PAIRS``
     closure pairs raises ``ValueError`` before any row of its split set is built,
     and so does a split node with more than ``MAX_SPLIT_PAIRS`` distinct
-    pairs.
+    pairs.  An AB split set whose rows hold more than ``MAX_AB_PARTITIONS``
+    partitions raises it before the detector runs.
     """
     detect, canonical, base = _condition(condition)
 
@@ -648,6 +670,8 @@ def _scan_fault_set(
             _admit_lcr(m, f)  # before the DP builds any pair
         groups = _slot_groups(layout)
         fixed = _pinned(groups)
+        if condition == AB:
+            _admit_ab(m, math.prod(map(len, _row_tables(groups, fixed))))
         if violated(layout, groups, fixed):
             if not want_witness:
                 return False, 0, 0, None

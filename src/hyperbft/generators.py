@@ -1,7 +1,9 @@
 """Constructors for common topologies, exhaustive families, and random samplers.
 
 Everything here is deterministic: families enumerate in a fixed order and the
-random constructors derive all choices from an explicit seed.
+random constructors derive all choices from an explicit seed.  The families
+and their samplers build each candidate channel's tail set once per call, and
+every graph they yield shares that frozenset rather than holding its own.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ def random_hypergraph(
         raise ValueError("need at least 2 nodes")
     if m < 0:
         raise ValueError(f"the channel count must be non-negative, got {m}")
+    if max_tail_size is not None and max_tail_size < 1:
+        raise ValueError(f"the tail size cap must be at least 1, got {max_tail_size}")
     rng = random.Random(seed)
     cap = n - 1 if max_tail_size is None else min(max_tail_size, n - 1)
     pairs = []
@@ -118,10 +122,11 @@ def random_p2p(n: int, arcs: int, seed: int) -> DirectedHypergraph:
 
 def all_p2p_graphs(n: int) -> Iterator[DirectedHypergraph]:
     """Every simple digraph on n labeled nodes, as single-tail hypergraphs."""
-    universe = [(u, v) for u in range(n) for v in range(n) if u != v]
+    universe = [(u, frozenset((v,))) for u in range(n) for v in range(n) if u != v]
     for r in range(1 << len(universe)):
-        pairs = [(u, (v,)) for i, (u, v) in enumerate(universe) if r >> i & 1]
-        yield DirectedHypergraph.from_edge_tuples(n, pairs)
+        yield DirectedHypergraph.from_edge_tuples(
+            n, [c for i, c in enumerate(universe) if r >> i & 1]
+        )
 
 
 def all_local_broadcast_graphs(n: int) -> Iterator[DirectedHypergraph]:
@@ -130,22 +135,26 @@ def all_local_broadcast_graphs(n: int) -> Iterator[DirectedHypergraph]:
     for u in range(n):
         others = [v for v in range(n) if v != u]
         per_node.append(
-            [tuple(c) for k in range(1, n) for c in itertools.combinations(others, k)]
+            [frozenset(c) for k in range(1, n) for c in itertools.combinations(others, k)]
         )
     for combo in itertools.product(*per_node):
         yield DirectedHypergraph.from_edge_tuples(n, list(enumerate(combo)))
 
 
-def _undirected_candidates(n: int) -> list[tuple[int, ...]]:
-    return [c for k in range(2, n + 1) for c in itertools.combinations(range(n), k)]
+def _undirected_candidates(n: int) -> list[tuple[tuple[int, frozenset[int]], ...]]:
+    """Every undirected hyperedge of at least two of the n nodes, by size and
+    then lexicographically, as its channels: one (head, tails) per member."""
+    return [
+        tuple((head, frozenset(s) - {head}) for head in s)
+        for k in range(2, n + 1)
+        for s in itertools.combinations(range(n), k)
+    ]
 
 
-def _undirected_from_subset(n: int, cands: list[tuple[int, ...]], mask: int) -> DirectedHypergraph:
-    pairs = []
-    for i, s in enumerate(cands):
-        if mask >> i & 1:
-            for head in s:
-                pairs.append((head, tuple(v for v in s if v != head)))
+def _undirected_from_subset(
+    n: int, cands: list[tuple[tuple[int, frozenset[int]], ...]], mask: int
+) -> DirectedHypergraph:
+    pairs = [c for i, channels in enumerate(cands) if mask >> i & 1 for c in channels]
     return DirectedHypergraph.from_edge_tuples(n, pairs)
 
 
@@ -157,29 +166,41 @@ def all_undirected_hypergraphs(n: int) -> Iterator[DirectedHypergraph]:
         yield _undirected_from_subset(n, cands, r)
 
 
+def _require_sample_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"the sample count must be non-negative, got {count}")
+
+
 def sample_local_broadcast_graphs(n: int, count: int, seed: int) -> Iterator[DirectedHypergraph]:
     """Seeded sample of the local-broadcast family (one channel per node)."""
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
+    _require_sample_count(count)
     rng = random.Random(seed)
     others = {u: [v for v in range(n) if v != u] for u in range(n)}
-    for _ in range(count):
-        pairs = []
-        for u in range(n):
-            k = rng.randint(1, n - 1)
-            pairs.append((u, tuple(sorted(rng.sample(others[u], k)))))
-        yield DirectedHypergraph.from_edge_tuples(n, pairs)
+    tail_sets: dict[frozenset[int], frozenset[int]] = {}
+
+    def channel(u: int) -> tuple[int, frozenset[int]]:
+        tails = frozenset(rng.sample(others[u], rng.randint(1, n - 1)))
+        return u, tail_sets.setdefault(tails, tails)
+
+    return (
+        DirectedHypergraph.from_edge_tuples(n, [channel(u) for u in range(n)])
+        for _ in range(count)
+    )
 
 
 def sample_undirected_hypergraphs(n: int, count: int, seed: int) -> Iterator[DirectedHypergraph]:
     """Seeded sample of undirected hypergraphs with varying density."""
+    _require_sample_count(count)
     rng = random.Random(seed)
     cands = _undirected_candidates(n)
-    for _ in range(count):
+
+    def mask() -> int:
         density = rng.uniform(0.05, 0.9)
-        mask = 0
-        for i in range(len(cands)):
-            if rng.random() < density:
-                mask |= 1 << i
-        yield _undirected_from_subset(n, cands, mask)
+        return sum(1 << i for i in range(len(cands)) if rng.random() < density)
+
+    return (_undirected_from_subset(n, cands, mask()) for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,13 @@ from functools import cached_property
 from typing import Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
-    """One multicast channel: ``head`` transmits, every node in ``tails`` receives."""
+    """One multicast channel: ``head`` transmits, every node in ``tails`` receives.
+
+    Channels carry no ``__dict__``, and a frozenset ``tails`` is kept as
+    given (``frozenset`` returns its argument), so graphs built from the same
+    candidate channels share each tail set."""
 
     id: int
     head: int

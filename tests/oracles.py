@@ -43,12 +43,17 @@ list, where the library fills a table one trail length at a time.
 ``run_reference`` is a whole run built from ``flood_records`` and
 ``node_steps_reference`` alone, where the engine memoizes phases, reads
 floods off tables and skips the relay flood when step (f) has no node.
+The ``*_per_edge`` family builders give every channel of every graph its
+own tail tuple and draw the samples with plain loops, where the library's
+families share each candidate channel's tail set across the graphs they
+yield.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -927,3 +932,59 @@ def carrier_logs(carrier) -> tuple[list[int], dict[int, bytes]]:
     return gamma, {
         cid: canonical_json(sorted(entries)).encode() for cid, entries in logs.items()
     }
+
+
+def all_p2p_graphs_per_edge(n: int):
+    universe = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for r in range(1 << len(universe)):
+        pairs = [(u, (v,)) for i, (u, v) in enumerate(universe) if r >> i & 1]
+        yield DirectedHypergraph.from_edge_tuples(n, pairs)
+
+
+def all_local_broadcast_graphs_per_edge(n: int):
+    per_node = []
+    for u in range(n):
+        others = [v for v in range(n) if v != u]
+        per_node.append(
+            [tuple(c) for k in range(1, n) for c in itertools.combinations(others, k)]
+        )
+    for combo in itertools.product(*per_node):
+        yield DirectedHypergraph.from_edge_tuples(n, list(enumerate(combo)))
+
+
+def _undirected_per_edge(n: int, cands, mask: int) -> DirectedHypergraph:
+    pairs = []
+    for i, s in enumerate(cands):
+        if mask >> i & 1:
+            for head in s:
+                pairs.append((head, tuple(v for v in s if v != head)))
+    return DirectedHypergraph.from_edge_tuples(n, pairs)
+
+
+def all_undirected_hypergraphs_per_edge(n: int):
+    cands = [c for k in range(2, n + 1) for c in itertools.combinations(range(n), k)]
+    for r in range(1 << len(cands)):
+        yield _undirected_per_edge(n, cands, r)
+
+
+def sample_local_broadcast_graphs_per_edge(n: int, count: int, seed: int):
+    rng = random.Random(seed)
+    others = {u: [v for v in range(n) if v != u] for u in range(n)}
+    for _ in range(count):
+        pairs = []
+        for u in range(n):
+            k = rng.randint(1, n - 1)
+            pairs.append((u, tuple(sorted(rng.sample(others[u], k)))))
+        yield DirectedHypergraph.from_edge_tuples(n, pairs)
+
+
+def sample_undirected_hypergraphs_per_edge(n: int, count: int, seed: int):
+    rng = random.Random(seed)
+    cands = [c for k in range(2, n + 1) for c in itertools.combinations(range(n), k)]
+    for _ in range(count):
+        density = rng.uniform(0.05, 0.9)
+        mask = 0
+        for i in range(len(cands)):
+            if rng.random() < density:
+                mask |= 1 << i
+        yield _undirected_per_edge(n, cands, mask)

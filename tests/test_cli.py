@@ -281,3 +281,11 @@ def test_check_oversized_split_graph_exits_one(runner, tmp_path) -> None:
     res = invoke(runner, "check", ring, "--f", "3")
     assert res.exit_code == 1
     assert "split graph has 30 nodes" in res.output
+
+
+def test_check_ab_past_its_partition_budget_exits_one(runner, tmp_path) -> None:
+    # the AB form would walk 2^15 partitions of the 16-ring's unsplit graph
+    ring = write_fixture(tmp_path, "ring16.hg", serialize_topology(cycle_local_broadcast(16)))
+    res = invoke(runner, "check", ring, "--f", "1", "--condition", "ab")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: split graph has 16 nodes")

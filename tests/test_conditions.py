@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hyperbft import conditions, necessity, protocol, reductions
 from hyperbft.conditions import (
     AB,
     LCR,
+    MAX_AB_PARTITIONS,
     MAX_CLOSURE_PAIRS,
     MAX_SPLIT_PAIRS,
     _SQUARING_CELLS,
@@ -314,6 +316,19 @@ def test_oversized_split_graph_is_refused_before_allocating() -> None:
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="out-masks hold at most 62"):
         check_ab_hyper(cycle_local_broadcast(63), 0)
+
+
+def test_ab_form_refuses_past_its_partition_budget() -> None:
+    """The 16-ring at f=1 would walk 2^15 partitions of its 16-node split
+    graph before any fault: refused at once, where the scan ran past 60 s.
+    The 8-ring (at most 2^8 per split set) is still decided."""
+    assert 1 << 15 > MAX_AB_PARTITIONS >= 1 << 12
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"split graph has 16 nodes; .* \(here 1 x 2\^15\)"):
+        check_ab_hyper(cycle_local_broadcast(16), 1)
+    assert time.perf_counter() - start < 1.0
+    g = cycle_local_broadcast(8)
+    assert check_ab_hyper(g, 1).holds == check_lcr_hyper(g, 1).holds
 
 
 def test_witness_past_the_closure_limit_is_refused(monkeypatch) -> None:

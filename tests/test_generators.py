@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,17 @@ from hyperbft.generators import (
     sample_condition_passing,
     sample_condition_violating,
     sample_local_broadcast_graphs,
+    sample_undirected_hypergraphs,
     two_channel_example,
     union_hypergraph,
+)
+
+from oracles import (
+    all_local_broadcast_graphs_per_edge,
+    all_p2p_graphs_per_edge,
+    all_undirected_hypergraphs_per_edge,
+    sample_local_broadcast_graphs_per_edge,
+    sample_undirected_hypergraphs_per_edge,
 )
 
 
@@ -80,6 +90,18 @@ def test_negative_sizes_are_refused() -> None:
     assert len(random_hypergraph(5, 0, 1).edges) == 0
 
 
+def test_degenerate_generator_arguments_are_refused() -> None:
+    with pytest.raises(ValueError, match="tail size cap must be at least 1, got 0"):
+        random_hypergraph(5, 3, 1, max_tail_size=0)
+    with pytest.raises(ValueError, match="need at least 2 nodes"):
+        sample_local_broadcast_graphs(1, 3, 1)
+    with pytest.raises(ValueError, match="sample count must be non-negative, got -1"):
+        sample_undirected_hypergraphs(5, -1, 1)
+    with pytest.raises(ValueError, match="sample count must be non-negative, got -2"):
+        sample_local_broadcast_graphs(4, -2, 1)
+    assert list(sample_undirected_hypergraphs(5, 0, 1)) == []
+
+
 def test_random_generators_are_seed_deterministic() -> None:
     assert random_hypergraph(5, 7, 123) == random_hypergraph(5, 7, 123)
     assert random_hypergraph(5, 7, 123) != random_hypergraph(5, 7, 124)
@@ -104,6 +126,48 @@ def test_exhaustive_families_have_declared_shapes() -> None:
         assert g.classify.single_channel_per_node
     for g in itertools.islice(all_undirected_hypergraphs(3), 20):
         assert g.classify.undirected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_families_match_the_per_edge_builders(n: int) -> None:
+    """Every graph of every family is the one the per-edge builders give,
+    edge ids, heads and order included."""
+    for family, oracle in (
+        (all_p2p_graphs, all_p2p_graphs_per_edge),
+        (all_local_broadcast_graphs, all_local_broadcast_graphs_per_edge),
+        (all_undirected_hypergraphs, all_undirected_hypergraphs_per_edge),
+    ):
+        got = list(family(n))
+        assert got == list(oracle(n))
+        tails = {(e.head, e.tails) for g in got for e in g.edges}
+        assert len({id(e.tails) for g in got for e in g.edges}) <= len(tails)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_samples_match_the_per_edge_builders_and_share_tail_sets(seed: int) -> None:
+    """Seeded samples draw the same graphs as the per-edge builders, and hold
+    at most one tail object per candidate channel: 5 * 15 at n = 5."""
+    for sampler, oracle in (
+        (sample_undirected_hypergraphs, sample_undirected_hypergraphs_per_edge),
+        (sample_local_broadcast_graphs, sample_local_broadcast_graphs_per_edge),
+    ):
+        got = list(sampler(5, 200, seed))
+        assert got == list(oracle(5, 200, seed))
+        assert len({id(e.tails) for g in got for e in g.edges}) <= 5 * 15
+
+
+def test_undirected_sample_memory_stays_bounded() -> None:
+    """1,500 sampled 5-node graphs (52,667 channels) hold about 4.5 MiB with
+    shared tail sets and slotted channels; 17.8 MiB with a tail set and a
+    ``__dict__`` per channel."""
+    tracemalloc.start()
+    try:
+        graphs = list(sample_undirected_hypergraphs(5, 1500, 1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(g.edges) for g in graphs) == 52667
+    assert held <= 8 << 20
 
 
 def test_sampled_family_is_deterministic() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 
@@ -24,6 +25,18 @@ def small_graphs(max_n: int = 6, max_m: int = 12):
         st.integers(min_value=1, max_value=max_m),
         st.integers(min_value=0, max_value=2**31),
     )
+
+
+def test_hyperedge_is_slotted_frozen_and_keeps_its_tail_set() -> None:
+    tails = frozenset({1, 2})
+    e = Hyperedge(0, 0, tails)
+    assert not hasattr(e, "__dict__")
+    assert e.tails is tails
+    assert Hyperedge(1, 3, tails).tails is tails
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.head = 1  # type: ignore[misc]
+    assert Hyperedge(2, 0, [2, 1]).tails == tails
+    assert pickle.loads(pickle.dumps(e)) == e
 
 
 def test_hyperedge_rejects_empty_tails() -> None:
