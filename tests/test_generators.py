@@ -158,7 +158,7 @@ def test_samples_match_the_per_edge_builders_and_share_tail_sets(seed: int) -> N
 
 def test_undirected_sample_memory_stays_bounded() -> None:
     """1,500 sampled 5-node graphs (52,667 channels) hold about 4.5 MiB with
-    shared tail sets and slotted channels; 17.8 MiB with a tail set and a
+    shared tail sets and slotted channels; 17.6 MiB with a tail set and a
     ``__dict__`` per channel."""
     tracemalloc.start()
     try:
