@@ -10,8 +10,15 @@ slots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
+
+
+@lru_cache(maxsize=64)
+def _id_range(n: int) -> frozenset[int]:
+    """The default node set [0, n), one frozenset per n shared by every graph
+    built without ``nodes``."""
+    return frozenset(range(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +55,7 @@ class SimpleDigraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", frozenset(self.arcs))
         if self.nodes is None:
-            object.__setattr__(self, "nodes", frozenset(range(self.n)))
+            object.__setattr__(self, "nodes", _id_range(self.n))
         else:
             object.__setattr__(self, "nodes", frozenset(self.nodes))
         for (u, v) in self.arcs:
@@ -107,10 +114,8 @@ class DirectedHypergraph:
         if self.n < 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", frozenset(range(self.n)))
-        else:
-            object.__setattr__(self, "nodes", frozenset(self.nodes))
+        given = self.nodes is not None
+        object.__setattr__(self, "nodes", frozenset(self.nodes) if given else _id_range(self.n))
         seen: set[int] = set()
         for e in self.edges:
             if e.id in seen:
@@ -118,7 +123,7 @@ class DirectedHypergraph:
             seen.add(e.id)
             if e.head not in self.nodes or not e.tails <= self.nodes:
                 raise ValueError(f"hyperedge {e.id} uses nodes outside the node set")
-        if any(v < 0 or v >= self.n for v in self.nodes):
+        if given and any(v < 0 or v >= self.n for v in self.nodes):
             raise ValueError("node ids must lie in [0, n)")
 
     def __hash__(self) -> int:

@@ -26,6 +26,12 @@ def max_disjoint_paths_bits(
     except those in ``uncapped_mask`` and the target, which are unconstrained.
     Nodes in ``removed_mask`` are deleted.  Counting stops at ``cap`` if given.
 
+    Each live source with an arc straight into the target is a path of its
+    own, so these direct arcs are the starting flow: if there are ``cap`` of
+    them the count is known at once, and otherwise augmenting goes on from
+    them, which still reaches the maximum.  A direct arc carries one unit and
+    saturates a capped source; an uncapped source stays open.
+
     Max-flow by breadth-first augmenting paths on the vertex-split graph:
     node i is an in-vertex and an out-vertex joined by an internal arc, every
     arc i -> j runs from i's out-vertex to j's in-vertex with capacity one,
@@ -44,17 +50,32 @@ def max_disjoint_paths_bits(
         return 0
     if not sources_mask:
         return 0
+    direct = 0
+    m = sources_mask
+    while m:
+        low = m & -m
+        m ^= low
+        if adj_bits[low.bit_length() - 1] >> target_bit & 1:
+            direct |= low
+    flow = direct.bit_count()
+    if cap is not None and flow >= cap:
+        return max(cap, 0)
 
     live = ((1 << nbits) - 1) & ~removed_mask
     arcs = [adj_bits[i] & live & ~(1 << i) for i in range(nbits)]
     capped = live & ~uncapped_mask & ~(1 << target_bit)
     fout = [0] * nbits
     fin = [0] * nbits
-    through = 0
-    fed = 0
+    fin[target_bit] = direct
+    m = direct
+    while m:
+        low = m & -m
+        m ^= low
+        fout[low.bit_length() - 1] = 1 << target_bit
+    through = direct & capped
+    fed = direct
     # BFS vertices: in-vertex i is i, out-vertex i is nbits + i; -1 is the source
     parent = [0] * (2 * nbits)
-    flow = 0
     while cap is None or flow < cap:
         start = sources_mask & ~(fed & capped)
         seen_in = start

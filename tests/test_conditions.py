@@ -45,7 +45,7 @@ from hyperbft.generators import (
     two_channel_example,
 )
 from hyperbft.hypergraph import DirectedHypergraph
-from hyperbft.splitting import lambda_cardinality, split_layout, split_sets
+from hyperbft.splitting import lambda_cardinality, split_layout, split_layouts, split_sets
 
 from oracles import (
     check_per_fault_set,
@@ -513,6 +513,37 @@ def test_node_dp_rows_match_the_ordered_rows(n, channels, seed, k) -> None:
     assert set(minimal) <= ordered
     assert all(_rows_below(row, minimal) for row in ordered)
     assert all(not _rows_below(row, [low for low in minimal if low != row]) for row in minimal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from((LCR, AB)),
+)
+def test_a_violated_split_set_implies_a_violated_whole_fault_set(
+    n, channels, seed, f, condition
+) -> None:
+    """If some split graph of X, a proper subset of the fault set F,
+    violates, then some split graph of F does.  The X-split graph is the
+    F-split graph in which every node of F - X keeps all its channels on
+    copy 0; each copy 1 this adds lies in F' with no out-arc, so no head
+    count, closure or path uses it.  A check could skip every X but F."""
+    if condition == AB:
+        n = min(n, 4)
+    g = random_hypergraph(n, channels, seed)
+    detect, _, _ = _condition(condition)
+    for fset in subsets_by_cardinality(g.nodes, f):
+        violated = {}
+        for x, layout in split_layouts(g, fset):
+            groups = _slot_groups(layout)
+            violated[tuple(x)] = any(
+                detect(rows, layout.m, layout.fprime, f) >= 0
+                for rows in _light_splits(layout, groups, _pinned(groups), f)
+            )
+        assert violated[tuple(sorted(fset))] or not any(violated.values())
 
 
 class _Untouchable:

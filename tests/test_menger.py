@@ -104,6 +104,49 @@ def test_bitmask_max_flow_matches_the_network_oracle(n: int, data) -> None:
     assert max_disjoint_paths_bits(*args) == max_disjoint_paths_network(*args)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_direct_arc_start_matches_the_network_oracle(n: int, data) -> None:
+    # Each source gets an arc into the target with probability 1/2, so the
+    # direct arcs alone often reach cap, fall just short of it, or are absent.
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    target = data.draw(st.integers(min_value=0, max_value=n - 1), label="target")
+    sources = data.draw(masks, label="sources") & ~(1 << target)
+    adj = list(data.draw(st.lists(masks, min_size=n, max_size=n), label="adj"))
+    for i in range(n):
+        if sources >> i & 1:
+            if data.draw(st.booleans(), label=f"direct {i}"):
+                adj[i] |= 1 << target
+            else:
+                adj[i] &= ~(1 << target)
+    removed = data.draw(masks, label="removed")
+    uncapped = data.draw(masks, label="uncapped")
+    cap = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="cap")
+    args = (tuple(adj), n, sources, target, removed, uncapped, cap)
+    assert max_disjoint_paths_bits(*args) == max_disjoint_paths_network(*args)
+
+
+def test_direct_arc_start_fixed_cases() -> None:
+    # An uncapped source 0 with a direct arc to 3 and detours via 1 and 2.
+    adj = (0b1110, 0b1000, 0b1000, 0)
+    for cap in (None, 3, 4):
+        assert max_disjoint_paths_bits(adj, 4, 0b1, 3, 0, 0b1, cap) == 3
+        assert max_disjoint_paths_network(adj, 4, 0b1, 3, 0, 0b1, cap) == 3
+    # The same source capped carries one path, its direct arc.
+    assert max_disjoint_paths_bits(adj, 4, 0b1, 3) == 1
+    assert max_disjoint_paths_bits(adj, 4, 0b1, 3, 0, 0b1, 0) == 0
+    # A capped source's direct arc fills it: source 1 reaches 3 only via 0.
+    adj = (0b1100, 0b0001, 0b1000, 0)
+    assert max_disjoint_paths_bits(adj, 4, 0b11, 3) == 1
+    # Sources 0, 1 and 2 all have direct arcs to 3; 0 also reaches 3 via 4.
+    adj = (0b11000, 0b01000, 0b01000, 0, 0b01000)
+    for cap in (0, 1, 2, 3):
+        assert max_disjoint_paths_bits(adj, 5, 0b111, 3, 0, 0, cap) == cap
+    assert max_disjoint_paths_bits(adj, 5, 0b111, 3, 0, 0, 4) == 3
+    assert max_disjoint_paths_bits(adj, 5, 0b111, 3, 0, 0b1, 4) == 4
+    assert max_disjoint_paths_network(adj, 5, 0b111, 3, 0, 0b1, 4) == 4
+
+
 def test_augmenting_path_walks_back_through_a_saturated_node() -> None:
     # The first augmenting path a-x-i-j-t is the shorter one; the second,
     # from b, enters j, cancels i->j, walks back through i and cancels x->i
