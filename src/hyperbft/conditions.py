@@ -95,7 +95,7 @@ _SQUARING_CELLS = 1 << 9
 MAX_SPLIT_PAIRS = 1 << 18
 # Most partitions x split graphs the AB detector walks per split set: every
 # Pareto-minimal row of m nodes has 2^(m-1) partitions, each a max-flow
-# test.  2^14 take about 1 s (the 15-node ring at f=0, 2-core Xeon); the
+# test.  2^14 take about 0.5 s (the 15-node ring at f=0, 2-core Xeon); the
 # tests reach 4,096 (5-node graphs over the complete graph at f=2).
 MAX_AB_PARTITIONS = 1 << 14
 # Closure cells (rows x C(m, f) x m) per batch of split graphs.  Larger
