@@ -342,8 +342,11 @@ def _lcr_split_violated(out_bits, m: int, fprime: int, f: int) -> int:
     holds a node outside F'.  So when two nodes lie outside F', halves that
     part them violate in every row; otherwise no two bad sets are disjoint
     and no row violates.  Larger split graphs go to ``_closure_violated``.
+    An empty batch has no violating row, whatever m.
     """
     _admit_lcr(m, f)
+    if not len(out_bits):
+        return -1
     if m <= 2 * f:
         return 0 if (~fprime & ((1 << m) - 1)).bit_count() >= 2 else -1
     return _closure_violated(out_bits, m, fprime, f)
@@ -638,7 +641,13 @@ def _scan_fault_set(
     Returns ``(holds, splits, partitions, violation)``.  Each split set is
     decided in one pass over its distinct, Pareto-minimal rows
     (``_light_splits`` with every node's highest-id slot pinned on copy 0).
-    The first violated one yields the canonical witness: its least violating
+    A row in which the copy 1 of some node v of X has no out-arc goes
+    unchecked: that copy lies in F' and no head count, closure or path uses
+    it, so the row is a split graph of X - {v} with one dead node added, and
+    X - {v} comes earlier in ``split_sets`` order and passed.  Every batch
+    still reaches the detector, empty or not, and a split node that heads no
+    channel leaves every row of X unchecked.
+    The first violated split set yields the canonical witness: its least violating
     assignment counter, found bit by bit from the highest free slot down (a
     bit stays 0 when some completion of the lower bits still violates, and
     is 1 otherwise), then that split graph's first violating partition; only
@@ -656,10 +665,11 @@ def _scan_fault_set(
     partitions raises it before the detector runs.
     """
     detect, canonical, base = _condition(condition)
+    n0 = len(g.node_order)  # bits n0 .. m - 1 are the copies 1 of X
 
     def violated(layout: SplitLayout, groups, fixed: dict[int, int]) -> bool:
         return any(
-            detect(rows, layout.m, layout.fprime, f) >= 0
+            detect([row for row in rows if all(row[n0:])], layout.m, layout.fprime, f) >= 0
             for rows in _light_splits(layout, groups, fixed, f)
         )
 

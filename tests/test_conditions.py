@@ -18,6 +18,7 @@ from hyperbft.conditions import (
     MAX_CLOSURE_PAIRS,
     MAX_SPLIT_PAIRS,
     _SQUARING_CELLS,
+    _ab_batch_violated,
     _check,
     _closure_violated,
     _closures,
@@ -544,6 +545,90 @@ def test_a_violated_split_set_implies_a_violated_whole_fault_set(
                 for rows in _light_splits(layout, groups, _pinned(groups), f)
             )
         assert violated[tuple(sorted(fset))] or not any(violated.values())
+
+
+@pytest.mark.parametrize("m, f", [(2, 1), (4, 2), (3, 2), (5, 1), (9, 2)])
+def test_an_empty_batch_has_no_violating_row(m, f) -> None:
+    """Both detectors take an empty batch and find no violating row in it:
+    for m <= 2f the closed form would otherwise say row 0 violates, as two
+    nodes lie outside F' = 0."""
+    assert _lcr_split_violated([], m, 0, f) == -1
+    assert _ab_batch_violated([], m, 0, f) == -1
+    if m <= 2 * f:
+        assert _lcr_split_violated([[0] * m], m, 0, f) == 0
+
+
+def _drop_bit(mask: int, b: int) -> int:
+    """``mask`` without bit b, the higher bits moved down by one."""
+    return mask & ((1 << b) - 1) | mask >> (b + 1) << b
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=2),
+    st.sampled_from((LCR, AB)),
+)
+def test_a_row_with_a_dead_copy_is_a_row_of_the_smaller_split_set(
+    n, channels, seed, f, condition
+) -> None:
+    """Every Pareto-minimal row of a split set X in which the copy 1 of some
+    node v of X has no out-arc, which the scan leaves unchecked, is a split
+    graph of X - {v} once that copy is dropped and the bits above it are
+    renumbered, with the same F' and the same verdict."""
+    if condition == AB:
+        n = min(n, 4)
+    g = random_hypergraph(n, channels, seed)
+    detect, _, _ = _condition(condition)
+    for fset in subsets_by_cardinality(g.nodes, f):
+        for x, layout in split_layouts(g, fset):
+            groups = _slot_groups(layout)
+            for rows in _light_splits(layout, groups, _pinned(groups), f):
+                for row in rows:
+                    for r, v in enumerate(x):
+                        dead = n + r
+                        if row[dead]:
+                            continue
+                        smaller = split_layout(g, fset, [u for u in x if u != v])
+                        family = {
+                            tuple(smaller.out_masks(c)) for c in range(1 << len(smaller.slots))
+                        }
+                        reduced = [_drop_bit(o, dead) for i, o in enumerate(row) if i != dead]
+                        assert tuple(reduced) in family
+                        assert _drop_bit(layout.fprime, dead) == smaller.fprime
+                        assert (detect([row], layout.m, layout.fprime, f) >= 0) == (
+                            detect([reduced], smaller.m, smaller.fprime, f) >= 0
+                        )
+
+
+@pytest.mark.parametrize("condition", [LCR, AB])
+def test_local_broadcast_split_sets_hand_the_detector_no_rows(monkeypatch, condition) -> None:
+    """On the 7-ring at f=1 every node heads one channel, which stays on
+    copy 0, so each non-empty split set's one row is a row of the empty
+    split set: the detector gets an empty batch for it, and still one call
+    per batch ``_light_splits`` yields."""
+    calls, batches = [], []
+    name = "_lcr_split_violated" if condition == LCR else "_ab_batch_violated"
+    real_detect, real_light = getattr(conditions, name), conditions._light_splits
+
+    def detect(rows, m, fprime, f):
+        calls.append((m, len(rows)))
+        return real_detect(rows, m, fprime, f)
+
+    def light(*args):
+        for rows in real_light(*args):
+            batches.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(conditions, name, detect)
+    monkeypatch.setattr(conditions, "_light_splits", light)
+    g = cycle_local_broadcast(7)
+    assert _check(g, 1, condition).holds
+    assert len(calls) == len(batches) == 1 + 7 * 2
+    assert all((m == 7) == (rows == 1) for m, rows in calls)
+    assert sum(m == 8 for m, _ in calls) == 7
 
 
 class _Untouchable:
