@@ -19,6 +19,10 @@ alone: a per-node DP folds each split node's channels onto copy 0 or copy 1,
 keeps the distinct (copy-0, copy-1) pairs after every step and the minimal
 ones at the end, and the product of those pairs across split nodes goes to
 the detector.  Its cost follows the number of minimal rows, not 2^channels.
+A row in which the copy 1 of some node v of the split set X has no out-arc
+is a split graph of X - {v} with one dead fault copy added; X - {v} comes
+first and passed, so such a row never reaches the detector, and a split set
+of nodes that head one channel each leaves it no row at all.
 The canonical witness, the definitional first violating split graph, is the
 least violating counter; it is found bit by bit from the highest free slot
 down by asking the same DP and detector whether some completion still
@@ -37,9 +41,10 @@ C(m, f) * m closures of each split graph at once and pair-tests the distinct
 ones, polynomial in m for fixed f.  A split graph of m <= 2f nodes needs
 none of that: its nodes split into two halves of at most f nodes each, so
 it violates exactly when two of them lie outside F'.  A check calls the
-detector once per split set, mostly on one row; up to 512 closure cells
-(rows x head sets x nodes) the closures come from squaring a reach matrix
-in a few numpy calls, and larger batches run an m-step bitmask Warshall.
+detector once per batch of a split set's rows, mostly on one row or on
+none; up to 512 closure cells (rows x head sets x nodes) the closures come
+from squaring a reach matrix in a few numpy calls, and larger batches run
+an m-step bitmask Warshall.
 The canonical (L, C, R) labelling is built digit by digit from the same
 closures, with no scan over the 3^m labellings.
 """
@@ -646,11 +651,11 @@ def _scan_fault_set(
     it, so the row is a split graph of X - {v} with one dead node added, and
     X - {v} comes earlier in ``split_sets`` order and passed.  Every batch
     still reaches the detector, empty or not, and a split node that heads no
-    channel leaves every row of X unchecked.
-    The first violated split set yields the canonical witness: its least violating
-    assignment counter, found bit by bit from the highest free slot down (a
-    bit stays 0 when some completion of the lower bits still violates, and
-    is 1 otherwise), then that split graph's first violating partition; only
+    channel leaves every row of X unchecked.  The first violated split set
+    yields the canonical witness: its least violating assignment counter,
+    found bit by bit from the highest free slot down (a bit stays 0 when
+    some completion of the lower bits still violates, and is 1 otherwise),
+    then that split graph's first violating partition; only
     the winning split graph is built.  Counters are arithmetic: a fault set
     that holds counts its whole family, ``lambda_cardinality`` split graphs
     and every labelling of each, and a violated one counts up to its

@@ -627,6 +627,7 @@ def test_local_broadcast_split_sets_hand_the_detector_no_rows(monkeypatch, condi
     g = cycle_local_broadcast(7)
     assert _check(g, 1, condition).holds
     assert len(calls) == len(batches) == 1 + 7 * 2
+    assert batches == [1] * len(batches)
     assert all((m == 7) == (rows == 1) for m, rows in calls)
     assert sum(m == 8 for m, _ in calls) == 7
 
