@@ -325,8 +325,13 @@ def render_run_result(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_sweep_report(report, max_failures: int = 5) -> str:
-    """Human-readable rendering of an aggregated scenario sweep (SweepReport)."""
+# failing runs a sweep report lists before it counts the rest
+MAX_LISTED_FAILURES = 5
+
+
+def render_sweep_report(report) -> str:
+    """Human-readable rendering of an aggregated scenario sweep (SweepReport):
+    the first ``MAX_LISTED_FAILURES`` failing runs, then a count of the rest."""
     lines = [
         f"f: {report.f}",
         f"runs: {report.runs}",
@@ -337,13 +342,13 @@ def render_sweep_report(report, max_failures: int = 5) -> str:
         f"all exact phase agreement: {_yn(report.all_exact_phase_agreement)}",
         f"failures: {len(report.failures)}",
     ]
-    for res in report.failures[:max_failures]:
+    for res in report.failures[:MAX_LISTED_FAILURES]:
         lines.append(
             f"  faulty={list(res.faulty)} adversary={res.adversary}"
             f" inputs={[b for _, b in res.inputs]}"
             f" terminated={_yn(res.terminated)} agreement={_yn(res.agreement)}"
             f" validity={_yn(res.validity)}"
         )
-    if len(report.failures) > max_failures:
-        lines.append(f"  ... {len(report.failures) - max_failures} more")
+    if len(report.failures) > MAX_LISTED_FAILURES:
+        lines.append(f"  ... {len(report.failures) - MAX_LISTED_FAILURES} more")
     return "\n".join(lines) + "\n"

@@ -45,49 +45,6 @@ class Hyperedge:
 
 
 @dataclass(frozen=True)
-class SimpleDigraph:
-    """A simple directed graph on node ids below ``n`` (optionally a subset)."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    nodes: frozenset[int] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-        if self.nodes is None:
-            object.__setattr__(self, "nodes", _id_range(self.n))
-        else:
-            object.__setattr__(self, "nodes", frozenset(self.nodes))
-        for (u, v) in self.arcs:
-            if u == v:
-                raise ValueError(f"self-loop arc ({u},{v})")
-            if u not in self.nodes or v not in self.nodes:
-                raise ValueError(f"arc ({u},{v}) leaves the node set")
-
-    @cached_property
-    def node_order(self) -> tuple[int, ...]:
-        return tuple(sorted(self.nodes))
-
-    @cached_property
-    def is_symmetric(self) -> bool:
-        return all((v, u) in self.arcs for (u, v) in self.arcs)
-
-    @cached_property
-    def undirected_adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbors under the symmetrized (undirected) view of the arcs."""
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for (u, v) in self.arcs:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    @cached_property
-    def is_complete_undirected(self) -> bool:
-        k = len(self.nodes)
-        return all(len(self.undirected_adjacency[v]) == k - 1 for v in self.nodes)
-
-
-@dataclass(frozen=True)
 class TopologyClass:
     """Which restricted communication models a hypergraph falls into."""
 
@@ -223,6 +180,12 @@ class DirectedHypergraph:
                 masks[bit[v]] |= hb
         return tuple(masks)
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Per bit position: the neighbors of that node in the undirected
+        version of the underlying digraph."""
+        return tuple(o | i for o, i in zip(self.out_union_masks, self.in_masks))
+
     # -- neighborhoods and adjacency -----------------------------------------
 
     def in_neighborhood(self, a: Iterable[int], b: Iterable[int]) -> frozenset[int]:
@@ -248,16 +211,6 @@ class DirectedHypergraph:
         return False
 
     # -- derived graphs ------------------------------------------------------
-
-    @cached_property
-    def underlying(self) -> SimpleDigraph:
-        """The simple digraph with an arc (u, v) whenever some hyperedge headed
-        by u has v among its tails."""
-        arcs = set()
-        for e in self.edges:
-            for v in e.tails:
-                arcs.add((e.head, v))
-        return SimpleDigraph(self.n, frozenset(arcs), self.nodes)
 
     def induced(self, u: Iterable[int]) -> "DirectedHypergraph":
         """Restrict to nodes ``u``: keep hyperedges headed inside with their
@@ -313,11 +266,11 @@ class DirectedHypergraph:
     def classify(self) -> TopologyClass:
         single_tail = all(len(e.tails) == 1 for e in self.edges)
         single_channel = all(len(self.head_edges(v)) == 1 for v in self.nodes)
-        shapes = {(e.head, e.tails) for e in self.edges}
-        undirected = all(
-            (v, (e.tails - {v}) | {e.head}) in shapes for e in self.edges for v in e.tails
-        )
-        bidirectional = self.underlying.is_symmetric
+        groups = set(self.undirected_hyperedge_sets)
+        undirected = all(e.tails | {e.head} in groups for e in self.edges)
+        # the underlying digraph is symmetric exactly when every node's
+        # out-neighbors are its in-neighbors
+        bidirectional = self.out_union_masks == self.in_masks
         return TopologyClass(single_tail, single_channel, undirected, bidirectional)
 
     @cached_property

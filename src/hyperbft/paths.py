@@ -193,20 +193,6 @@ def count_disjoint_paths(
     )
 
 
-def internally_disjoint_undirected(
-    adj: dict[int, frozenset[int]], order: tuple[int, ...], u: int, v: int,
-    cap: int | None = None,
-) -> int:
-    """Internally node-disjoint u-v paths in an undirected adjacency map."""
-    bit = {x: i for i, x in enumerate(order)}
-    adj_bits = tuple(
-        sum(1 << bit[w] for w in adj[x]) for x in order
-    )
-    return max_disjoint_paths_bits(
-        adj_bits, len(order), 1 << bit[u], bit[v], 0, 1 << bit[u], cap
-    )
-
-
 def canonical_path(g: DirectedHypergraph, u: int, v: int) -> tuple[int, ...] | None:
     """The shortest hyperedge trace from ``u`` to ``v`` in ``g``, ties broken
     by the lexicographically least (hyperedge id, next node) sequence.

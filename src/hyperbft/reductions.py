@@ -31,8 +31,8 @@ from .conditions import (
     require_fault_bound,
     subsets_by_cardinality,
 )
-from .hypergraph import DirectedHypergraph, SimpleDigraph
-from .paths import internally_disjoint_undirected
+from .hypergraph import DirectedHypergraph
+from .paths import max_disjoint_paths_bits
 
 P2P = "lcr-p2p"
 LOCAL = "lcr-local"
@@ -115,53 +115,44 @@ def _check_reduced(g: DirectedHypergraph, f: int, condition: str) -> ReducedRepo
 # classical closed forms
 
 
-def vertex_connectivity(sd: SimpleDigraph) -> int:
-    """Node connectivity of the undirected version of a symmetric digraph."""
-    order = sd.node_order
-    n = len(order)
+def vertex_connectivity(g: DirectedHypergraph) -> int:
+    """Node connectivity of the undirected version of ``g``'s underlying
+    digraph, read off its neighbor masks: the fewest internally disjoint
+    paths between two non-adjacent nodes, n - 1 when every pair is adjacent,
+    and 0 when n <= 1."""
+    nb = g.neighbor_masks
+    n = len(nb)
     if n <= 1:
         return 0
-    adj = sd.undirected_adjacency
-    if sd.is_complete_undirected:
-        return n - 1
-    best = None
-    for u, v in itertools.combinations(order, 2):
-        if v in adj[u]:
+    best = n - 1
+    for u, v in itertools.combinations(range(n), 2):
+        if nb[u] >> v & 1:
             continue
-        k = internally_disjoint_undirected(adj, order, u, v)
-        if best is None or k < best:
-            best = k
-            if best == 0:
-                break
-    # non-complete graphs always have at least one non-adjacent pair
-    return best if best is not None else n - 1
-
-
-def min_undirected_degree(sd: SimpleDigraph) -> int:
-    order = sd.node_order
-    if not order:
-        return 0
-    return min(len(sd.undirected_adjacency[u]) for u in order)
+        best = min(best, max_disjoint_paths_bits(nb, n, 1 << u, v, 0, 1 << u))
+        if best == 0:
+            break
+    return best
 
 
 def theorem_p2p_classic(g: DirectedHypergraph, f: int) -> bool:
     """Closed form for bidirectional point-to-point graphs: n >= 3f+1 and the
-    undirected graph is (2f+1)-connected."""
+    undirected graph, given by ``g``'s neighbor masks, is (2f+1)-connected."""
     cls = g.classify
     if not (cls.single_tail and cls.bidirectional):
         raise ValueError("closed form applies to bidirectional single-tail graphs only")
     n = len(g.nodes)
-    return n >= 3 * f + 1 and vertex_connectivity(g.underlying) >= 2 * f + 1
+    return n >= 3 * f + 1 and vertex_connectivity(g) >= 2 * f + 1
 
 
 def theorem_local_classic(g: DirectedHypergraph, f: int) -> bool:
     """Closed form for bidirectional local-broadcast graphs: minimum degree
-    >= 2f and node connectivity >= floor(3f/2) + 1."""
+    >= 2f and node connectivity >= floor(3f/2) + 1, both read off ``g``'s
+    neighbor masks."""
     cls = g.classify
     if not (cls.single_channel_per_node and cls.bidirectional):
         raise ValueError("closed form applies to bidirectional local-broadcast graphs only")
-    und = g.underlying
-    return min_undirected_degree(und) >= 2 * f and vertex_connectivity(und) >= (3 * f) // 2 + 1
+    degree = min((m.bit_count() for m in g.neighbor_masks), default=0)
+    return degree >= 2 * f and vertex_connectivity(g) >= (3 * f) // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +179,7 @@ def triple_cover_condition(g: DirectedHypergraph, f: int) -> bool:
     if 3 * f < n:
         return True
     full = (1 << n) - 1
-    pos = {v: i for i, v in enumerate(order)}
-    hyper = [
-        sum(1 << pos[v] for v in s)
-        for s in g.undirected_hyperedge_sets
-    ]
+    hyper = [g.mask_of(s) for s in g.undirected_hyperedge_sets]
     # larger hyperedges are more likely witnesses; scan them first
     hyper.sort(key=lambda h: (-h.bit_count(), h))
     subsets = []
@@ -234,8 +221,8 @@ def undirected_conditions(g: DirectedHypergraph, f: int) -> UndirectedConditions
         raise ValueError("closed form applies to undirected hypergraphs only")
     n = len(g.nodes)
     c1 = n >= 2 * f + 1
-    und = g.underlying
-    c2 = und.is_complete_undirected or vertex_connectivity(und) >= 2 * f + 1
+    complete = all(m.bit_count() == n - 1 for m in g.neighbor_masks)
+    c2 = complete or vertex_connectivity(g) >= 2 * f + 1
     c3 = triple_cover_condition(g, f)
     return UndirectedConditions(c1 and c2 and c3, c1, c2, c3)
 
@@ -247,13 +234,9 @@ def hyper_k_connected(g: DirectedHypergraph, ell: int, t: int, k: int) -> bool:
     if min(ell, t, k) <= 0:
         raise ValueError("ell, t, k must all be positive")
     order = g.node_order
-    pos = {v: i for i, v in enumerate(order)}
+    bit = g.bit_of
     # only hyperedges spanning >= ell nodes can hit ell disjoint parts
-    hyper = [
-        m
-        for s in g.undirected_hyperedge_sets
-        if (m := sum(1 << pos[v] for v in s)).bit_count() >= ell
-    ]
+    hyper = [g.mask_of(s) for s in g.undirected_hyperedge_sets if len(s) >= ell]
     hyper.sort(key=lambda h: (-h.bit_count(), h))
 
     def parts_witnessed(parts: list[int]) -> bool:
@@ -269,7 +252,7 @@ def hyper_k_connected(g: DirectedHypergraph, ell: int, t: int, k: int) -> bool:
         def expand(i: int, parts: list[int]) -> bool:
             if i == len(rest):
                 return len(parts) < ell or parts_witnessed(parts)
-            b = 1 << pos[rest[i]]
+            b = 1 << bit[rest[i]]
             for j in range(len(parts)):
                 if parts[j].bit_count() < t:
                     parts[j] |= b

@@ -7,16 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from hyperbft.conditions import check_lcr_hyper
 from hyperbft.formats import (
+    MAX_LISTED_FAILURES,
     FormatError,
     canonical_json,
     parse_scenario,
     parse_topology,
     render_condition_report,
+    render_sweep_report,
     scenario_to_json,
     serialize_topology,
     to_jsonable,
 )
 from hyperbft.generators import complete_p2p, random_hypergraph
+from hyperbft.protocol import sweep_scenarios
 
 
 def small_graphs(max_n: int = 6, max_m: int = 12):
@@ -129,6 +132,16 @@ def test_report_rendering_mentions_witness() -> None:
     parsed = json.loads(blob)
     assert parsed["holds"] is False
     assert parsed["violation"]["fault_set"] == [0]
+
+
+def test_sweep_report_lists_the_first_failures_and_counts_the_rest() -> None:
+    """K3 at f=1 fails 12 of its 152 runs: the report lists 5, then the count."""
+    text = render_sweep_report(sweep_scenarios(complete_p2p(3), 1))
+    lines = text.splitlines()
+    assert MAX_LISTED_FAILURES == 5
+    assert "failures: 12" in lines
+    assert sum(line.startswith("  faulty=") for line in lines) == 5
+    assert lines[-1] == "  ... 7 more"
 
 
 def test_to_jsonable_rejects_unknown_types() -> None:

@@ -7,7 +7,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperbft.hypergraph import DirectedHypergraph, Hyperedge, SimpleDigraph
+from hyperbft.hypergraph import DirectedHypergraph, Hyperedge
 from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
@@ -119,8 +119,6 @@ def test_hash_is_the_field_hash_and_survives_pickling() -> None:
 def test_graphs_on_the_same_n_share_the_default_node_set() -> None:
     a, b = complete_p2p(5), cycle_local_broadcast(5)
     assert a.nodes is b.nodes == frozenset(range(5))
-    assert a.underlying.nodes is a.nodes
-    assert SimpleDigraph(5, frozenset()).nodes is a.nodes
     assert DirectedHypergraph(5, (), frozenset({0, 4})).nodes == {0, 4}
     assert complete_p2p(4).nodes is not a.nodes
     with pytest.raises(ValueError, match=r"node ids must lie in \[0, n\)"):

@@ -20,6 +20,7 @@ from hyperbft.generators import (
     complete_p2p,
     cycle_local_broadcast,
     path_local_broadcast,
+    random_hypergraph,
     random_p2p,
     sample_undirected_hypergraphs,
 )
@@ -64,18 +65,27 @@ def test_fixtures_match_general_checker() -> None:
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=0, max_value=20),
     st.integers(min_value=0, max_value=2**31),
+    st.sampled_from(["p2p", "multi-tail", "id-gap"]),
 )
-def test_vertex_connectivity_against_networkx(n: int, arcs: int, seed: int) -> None:
-    # connectivity is defined on the undirected version of the digraph
-    g = random_p2p(n, arcs, seed)
+def test_vertex_connectivity_against_networkx(n: int, arcs: int, seed: int, kind: str) -> None:
+    # connectivity is defined on the undirected version of the digraph, in
+    # which a multi-tail channel joins its head to each of its tails; the
+    # id-gap graph drops node n // 2, so the nodes above it sit one bit lower
+    if kind == "multi-tail":
+        g = random_hypergraph(n, arcs % 8, seed)
+    else:
+        g = random_p2p(n, arcs, seed)
+    if kind == "id-gap":
+        g = g.remove_nodes({n // 2})
+    arcs_set = {(e.head, t) for e in g.edges for t in e.tails}
     ug = nx.Graph()
-    ug.add_nodes_from(range(n))
-    for e in g.edges:
-        for t in e.tails:
-            ug.add_edge(e.head, t)
-    ours = vertex_connectivity(g.underlying)
-    theirs = nx.node_connectivity(ug)
-    assert ours == theirs
+    ug.add_nodes_from(g.nodes)
+    ug.add_edges_from(arcs_set)
+    assert vertex_connectivity(g) == nx.node_connectivity(ug)
+    assert g.classify.bidirectional == all((v, u) in arcs_set for (u, v) in arcs_set)
+    for v in g.nodes:
+        assert g.neighbor_masks[g.bit_of[v]] == g.mask_of(ug[v])
+    assert min(m.bit_count() for m in g.neighbor_masks) == min(d for _, d in ug.degree())
 
 
 def test_exhaustive_cross_validation_tiny() -> None:
